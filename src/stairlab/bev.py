@@ -127,15 +127,22 @@ def read_grid(path) -> BevGrid:
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a BEVG grid file")
+    if len(raw) < 24:
+        raise ValueError(f"{path}: truncated grid header ({len(raw)} bytes)")
     version, channels, height, width = struct.unpack_from("<IIII", raw, 4)
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported grid version {version}")
     if (channels, height, width) != (N_CHANNELS, GRID_SIZE, GRID_SIZE):
         raise ValueError(f"{path}: unexpected grid dims {(channels, height, width)}")
+    n_data = channels * height * width
+    size = 24 + 4 * n_data + height * width
+    if len(raw) != size:
+        raise ValueError(f"{path}: grid file has {len(raw)} bytes, expected {size}")
     (resolution,) = struct.unpack_from("<f", raw, 20)
     offset = 24
-    n_data = channels * height * width
     data = np.frombuffer(raw, dtype="<f4", count=n_data, offset=offset).astype(float)
+    if not (np.isfinite(data).all() and np.isfinite(resolution)):
+        raise ValueError(f"{path}: grid file holds non-finite values")
     offset += 4 * n_data
     occ = np.frombuffer(raw, dtype=np.uint8, count=height * width, offset=offset)
     return BevGrid(

@@ -71,7 +71,10 @@ def read_ply(path) -> PointCloud:
             if "ascii" not in line:
                 raise ValueError(f"{path}: binary PLY is not supported (got {line!r})")
         elif line.startswith("element vertex"):
-            vertex_count = int(line.split()[2])
+            parts = line.split()
+            if len(parts) != 3 or not parts[2].isdecimal():
+                raise ValueError(f"{path}: invalid vertex count in {line!r}")
+            vertex_count = int(parts[2])
         elif line.startswith("element"):
             raise ValueError(f"{path}: unsupported element {line!r}")
         elif line.startswith("property"):

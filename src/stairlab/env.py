@@ -479,10 +479,6 @@ class StepperEnv:
         return self._features_cache, int(gt.stair_class), gt.h_step, gt.d_step
 
 
-def success(record: EpisodeRecord) -> bool:
-    return record.success
-
-
 def metrics(records: list[EpisodeRecord], horizon: int) -> EvalMetrics:
     """Aggregate evaluation metrics over a set of episodes."""
     if not records:

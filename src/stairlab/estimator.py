@@ -256,13 +256,6 @@ def riser_ahead_on_axis(grid: BevGrid, yaw: float, cfg: EstimatorConfig) -> floa
     return riser_ahead(analyze_steps(positions, heights, cfg))
 
 
-def estimate_steps(
-    positions: np.ndarray, heights: np.ndarray, cfg: EstimatorConfig
-) -> tuple[StairClass, float, float]:
-    res = analyze_steps(positions, heights, cfg)
-    return res.stair_class, res.h_step, res.d_step
-
-
 def estimate_token(grid: BevGrid, cfg: EstimatorConfig | None = None) -> TokenEstimate:
     """Full pipeline: yaw, profile, step analysis, confidence."""
     cfg = cfg or EstimatorConfig()

@@ -15,7 +15,7 @@ World conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
@@ -314,7 +314,3 @@ def ground_truth_token(
     return TerrainToken(
         spec.stair_class, spec.h_step, spec.d_step, wrap_pi(robot_heading - spec.stair_yaw)
     )
-
-
-def spec_fields() -> tuple[str, ...]:
-    return tuple(f.name for f in fields(StairSpec))

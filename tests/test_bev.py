@@ -157,6 +157,24 @@ class TestGridFile:
         write_grid(tmp_path / "b.bevg", grid)
         assert (tmp_path / "a.bevg").read_bytes() == (tmp_path / "b.bevg").read_bytes()
 
+    @pytest.mark.parametrize("keep", [10, 24, 1000, 24 + 4 * 6 * 60 * 60 + 3599])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        path = tmp_path / "g.bevg"
+        write_grid(path, project(cloud_of([[0.0, 0.0, 0.5]])))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match=f"^{path}: .*bytes"):
+            read_grid(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_rejected(self, tmp_path, value):
+        path = tmp_path / "g.bevg"
+        write_grid(path, project(cloud_of([[0.0, 0.0, 0.5]])))
+        raw = bytearray(path.read_bytes())
+        raw[24 + 4 * 100 : 24 + 4 * 101] = np.array([value], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"^{path}: .*non-finite"):
+            read_grid(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bevg"
         path.write_bytes(b"NOPE" + bytes(40))

@@ -145,6 +145,38 @@ class TestSingleFileCommands:
         assert main(["ingest", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_vertex_count_nonzero_exit(self, tmp_path, capsys):
+        bad = tmp_path / "neg.ply"
+        bad.write_text(
+            "ply\nformat ascii 1.0\nelement vertex -3\nproperty float x\n"
+            "property float y\nproperty float z\nend_header\n"
+        )
+        assert main(["ingest", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("damage", ["truncate", "nan"])
+    def test_damaged_grid_nonzero_exit(self, tmp_path, capsys, damage):
+        _, path = self.make_cloud(tmp_path)
+        grid_path = tmp_path / "grid.bevg"
+        assert main(["bev", str(path), str(grid_path)]) == 0
+        capsys.readouterr()
+        raw = grid_path.read_bytes()
+        if damage == "truncate":
+            raw = raw[:-100]
+        else:
+            cells = np.frombuffer(raw, dtype="<f4", count=6 * 60 * 60, offset=24).copy()
+            cells[:] = np.nan
+            raw = raw[:24] + cells.tobytes() + raw[24 + cells.nbytes :]
+        grid_path.write_bytes(raw)
+        assert main(["estimate", str(grid_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(f"error: {grid_path}: ")
+
     def test_missing_file_nonzero_exit(self, tmp_path, capsys):
         assert main(["ingest", str(tmp_path / "absent.xyz")]) == 1
         assert "error:" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from stairlab.env import (
     TRACE_COLUMNS,
     arc_heights,
     metrics,
-    success,
     write_trace,
 )
 from stairlab.errors import ConfigError
@@ -334,8 +333,10 @@ class TestTraceAndMetrics:
             metrics([], horizon=10)
 
     def test_success_helper(self):
-        rec = EpisodeRecord(5, 1.0, True, "success", StairClass.FLAT, 0, 0, 0, 0)
-        assert success(rec)
+        # Success is the record's own field; no separate helper reads it.
+        ok = EpisodeRecord(5, 1.0, True, "success", StairClass.FLAT, 0, 0, 0, 0)
+        failed = EpisodeRecord(5, 1.0, False, "scuff", StairClass.FLAT, 0, 0, 0, 0)
+        assert ok.success and not failed.success
 
 
 class TestCommandSchedule:

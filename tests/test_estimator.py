@@ -9,7 +9,6 @@ from stairlab.estimator import (
     EstimatorConfig,
     StepAnalysis,
     analyze_steps,
-    estimate_steps,
     estimate_token,
     estimate_yaw,
     extract_profile,
@@ -89,27 +88,27 @@ class TestAnalyzeSteps:
 
     def test_flat_profile(self):
         positions = np.arange(30) * 0.05
-        assert estimate_steps(positions, np.zeros(30), CFG) == (StairClass.FLAT, 0.0, 0.0)
+        res = analyze_steps(positions, np.zeros(30), CFG)
+        assert (res.stair_class, res.h_step, res.d_step) == (StairClass.FLAT, 0.0, 0.0)
 
     def test_ideal_ascending(self):
         positions, heights = self.ideal_profile(0.15, 0.28)
-        cls, h, d = estimate_steps(positions, heights, CFG)
-        assert cls == StairClass.STAIRS_UP
-        assert h == pytest.approx(0.15, abs=0.005)
-        assert d == pytest.approx(0.28, abs=0.01)
+        res = analyze_steps(positions, heights, CFG)
+        assert res.stair_class == StairClass.STAIRS_UP
+        assert res.h_step == pytest.approx(0.15, abs=0.005)
+        assert res.d_step == pytest.approx(0.28, abs=0.01)
 
     def test_ideal_descending(self):
         positions, heights = self.ideal_profile(0.15, 0.28)
-        cls, h, d = estimate_steps(positions, -heights, CFG)
-        assert cls == StairClass.STAIRS_DOWN
-        assert h == pytest.approx(0.15, abs=0.005)
-        assert d == pytest.approx(0.28, abs=0.01)
+        res = analyze_steps(positions, -heights, CFG)
+        assert res.stair_class == StairClass.STAIRS_DOWN
+        assert res.h_step == pytest.approx(0.15, abs=0.005)
+        assert res.d_step == pytest.approx(0.28, abs=0.01)
 
     def test_single_riser_is_flat(self):
         positions = np.arange(20) * 0.05
         heights = np.where(positions > 0.5, 0.2, 0.0)
-        cls, h, d = estimate_steps(positions, heights, CFG)
-        assert cls == StairClass.FLAT
+        assert analyze_steps(positions, heights, CFG).stair_class == StairClass.FLAT
 
     def test_split_riser_merged(self):
         # One riser smeared over two bins: the ramp still counts once and

@@ -5,8 +5,8 @@ import pytest
 
 from stairlab.cloud_io import read_cloud, read_ply, read_xyz, write_ply, write_xyz
 from stairlab.errors import ConfigError
-from stairlab.sensor import PointCloud, SensorModel, dropout, scan
-from stairlab.world import StairClass, StairSpec, TerrainProfile
+from stairlab.sensor import PointCloud, SensorModel, _line_of_sight_mask, dropout, scan
+from stairlab.world import ParameterRanges, StairClass, StairSpec, TerrainProfile, generate_stairs
 
 
 def flat_profile():
@@ -133,6 +133,88 @@ class TestOcclusion:
         assert all(tuple(p) in b_set for p in a.points)
 
 
+def march_visible(profile, pose, xw, yw, z_true, support, sensor_height, ray_pitch):
+    """Oracle: sample every ray at ``ray_pitch`` and call it blocked where terrain rises above it."""
+    x0, y0, _ = pose
+    z0 = support + sensor_height
+    dist = np.hypot(xw - x0, yw - y0)
+    n_samples = max(2, int(math.ceil(float(dist.max(initial=0.0)) / ray_pitch)))
+    t = np.linspace(0.0, 1.0, n_samples + 1)[1:-1]
+    visible = np.ones(xw.shape[0], dtype=bool)
+    for lo in range(0, xw.shape[0], 256):
+        hi = lo + 256
+        tx = x0 + np.outer(xw[lo:hi] - x0, t)
+        ty = y0 + np.outer(yw[lo:hi] - y0, t)
+        ray_z = z0 + np.outer(z_true[lo:hi] - z0, t)
+        visible[lo:hi] = ~np.any(profile.height_at(tx, ty) > ray_z + 1e-9, axis=1)
+    return visible
+
+
+class TestExactLineOfSight:
+    MODEL = SensorModel(noise_sigma_z=0.0, occlusion=True, sample_pitch=0.1)
+
+    def kept_on_lattice(self, profile, pose):
+        """Lattice mask of the points a noise-free occluded scan keeps, and the lattice in the world."""
+        model = self.MODEL
+        n = int(round(model.window / model.sample_pitch))
+        axis = -model.window / 2.0 + model.sample_pitch * (np.arange(n) + 0.5)
+        u, v = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+        pts = scan(profile, pose, model, 0).points
+        rows = np.rint((pts[:, 0] + model.window / 2.0) / model.sample_pitch - 0.5).astype(int)
+        cols = np.rint((pts[:, 1] + model.window / 2.0) / model.sample_pitch - 0.5).astype(int)
+        kept = np.zeros(u.size, dtype=bool)
+        kept[rows * n + cols] = True
+        x, y, heading = pose
+        xw = x + u * math.cos(heading) - v * math.sin(heading)
+        yw = y + u * math.sin(heading) + v * math.cos(heading)
+        return kept, xw, yw
+
+    @pytest.mark.parametrize("stair_class", list(StairClass), ids=lambda c: c.name.lower())
+    def test_matches_dense_march(self, stair_class):
+        # Every point a 2 mm march calls occluded is occluded, and the
+        # exact test drops at least as many points as the march.
+        rng = np.random.default_rng(int(stair_class) + 31)
+        ranges = ParameterRanges(h_step=(0.14, 0.2), n_steps=(8, 10)).with_class(stair_class)
+        dropped_total = 0
+        for i in range(3):
+            profile = TerrainProfile(generate_stairs(rng, ranges))
+            pose = (rng.uniform(-0.8, 1.5), rng.uniform(-0.5, 0.5), rng.uniform(-math.pi, math.pi))
+            kept, xw, yw = self.kept_on_lattice(profile, pose)
+            z = profile.height_at(xw, yw)
+            support = profile.height_at(pose[0], pose[1])
+            march = march_visible(profile, pose, xw, yw, z, support, self.MODEL.sensor_height, 0.002)
+            assert not np.any(kept & ~march)
+            assert (~kept).sum() >= (~march).sum()
+            dropped_total += int((~kept).sum())
+        if stair_class == StairClass.FLAT:
+            assert dropped_total == 0
+        else:
+            assert dropped_total > 0
+
+    def test_grazing_ray_over_riser_edge_dropped(self):
+        # Sensor 1.2 m above the top landing, 0.3 m before a 0.2 m drop.
+        # The ray to the point 0.0495 m past the riser passes 1.7 mm below
+        # the riser's top edge, closer than a 2 cm march samples it.
+        profile = TerrainProfile(StairSpec(StairClass.STAIRS_DOWN, 0.2, 0.3, 0.0, 6, 1.0, 1.0))
+        pose = (-0.3, 0.0, 0.0)
+        xw = np.array([0.0495, 0.0505])
+        yw = np.array([0.4, 0.4])
+        z = profile.height_at(xw, yw)
+        assert np.array_equal(march_visible(profile, pose, xw, yw, z, 0.0, 1.2, 0.02), [True, True])
+        visible = _line_of_sight_mask(profile, pose, xw, yw, z, 0.0, 1.2)
+        assert visible.tolist() == [False, True]
+
+    def test_ray_along_risers_stays_visible(self):
+        # A target at the sensor's own along-axis position: s1 == s0.
+        profile = stairs_profile(yaw=0.0)
+        pose = (0.45, 0.0, 0.0)
+        xw, yw = np.array([0.45]), np.array([1.3])
+        z = profile.height_at(xw, yw)
+        with np.errstate(all="raise"):
+            visible = _line_of_sight_mask(profile, pose, xw, yw, z, 0.24, 1.2)
+        assert visible.tolist() == [True]
+
+
 class TestCloudIO:
     def test_xyz_round_trip_exact(self, tmp_path):
         cloud = scan(stairs_profile(), (0, 0, 0.1), SensorModel(noise_sigma_z=0.01), 5)
@@ -175,6 +257,16 @@ class TestCloudIO:
             "property float y\nproperty float z\nend_header\n0 0 0\n"
         )
         with pytest.raises(ValueError, match="expected 2"):
+            read_ply(path)
+
+    @pytest.mark.parametrize("count", ["-3", "", "x"])
+    def test_invalid_vertex_count_rejected(self, tmp_path, count):
+        path = tmp_path / "neg.ply"
+        path.write_text(
+            f"ply\nformat ascii 1.0\nelement vertex {count}\nproperty float x\n"
+            "property float y\nproperty float z\nend_header\n"
+        )
+        with pytest.raises(ValueError, match=f"^{path}: invalid vertex count"):
             read_ply(path)
 
     def test_malformed_xyz_line(self, tmp_path):
