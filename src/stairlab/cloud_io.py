@@ -1,11 +1,13 @@
 """Point cloud file formats: plain XYZ text and an ASCII PLY subset.
 
 Both writers emit full-precision decimal floats so that a write/read
-round trip reproduces the in-memory coordinates exactly.
+round trip reproduces the in-memory coordinates exactly. Both readers
+reject a non-numeric or non-finite coordinate, naming the path and line.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,17 @@ def write_xyz(path, cloud: PointCloud) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
+def _point(path, lineno: int, parts: list[str]) -> list[float]:
+    """The coordinates on line ``lineno``; non-numeric or non-finite ones are rejected."""
+    try:
+        xyz = [float(v) for v in parts]
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {lineno}: non-numeric value") from exc
+    if not all(math.isfinite(v) for v in xyz):
+        raise ValueError(f"{path}: line {lineno}: non-finite coordinate")
+    return xyz
+
+
 def read_xyz(path) -> PointCloud:
     pts = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -31,10 +44,7 @@ def read_xyz(path) -> PointCloud:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"{path}: line {lineno}: expected 'x y z', got {raw!r}")
-        try:
-            pts.append([float(parts[0]), float(parts[1]), float(parts[2])])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: non-numeric value") from exc
+        pts.append(_point(path, lineno, parts))
     return PointCloud(np.asarray(pts, dtype=float).reshape(-1, 3))
 
 
@@ -92,15 +102,15 @@ def read_ply(path) -> PointCloud:
     if properties != ["x", "y", "z"]:
         raise ValueError(f"{path}: expected float x, y, z properties, got {properties}")
 
-    body = [ln for ln in lines[body_start:] if ln.strip()]
+    body = [(n, ln) for n, ln in enumerate(lines[body_start:], start=body_start + 1) if ln.strip()]
     if len(body) < vertex_count:
         raise ValueError(f"{path}: expected {vertex_count} vertices, found {len(body)}")
     pts = []
-    for raw in body[:vertex_count]:
+    for lineno, raw in body[:vertex_count]:
         parts = raw.split()
         if len(parts) != 3:
             raise ValueError(f"{path}: malformed vertex line {raw!r}")
-        pts.append([float(parts[0]), float(parts[1]), float(parts[2])])
+        pts.append(_point(path, lineno, parts))
     return PointCloud(np.asarray(pts, dtype=float).reshape(-1, 3))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -479,6 +480,14 @@ class StepperEnv:
         return self._features_cache, int(gt.stair_class), gt.h_step, gt.d_step
 
 
+def max_passable_height(rates: Iterable[tuple[float, float]]) -> float:
+    """M_terrain: the highest step height whose success rate is at least 0.5, else 0.
+
+    ``rates`` holds (step height, success rate) pairs.
+    """
+    return max([0.0] + [h for h, rate in rates if rate >= 0.5])
+
+
 def metrics(records: list[EpisodeRecord], horizon: int) -> EvalMetrics:
     """Aggregate evaluation metrics over a set of episodes."""
     if not records:
@@ -489,12 +498,11 @@ def metrics(records: list[EpisodeRecord], horizon: int) -> EvalMetrics:
     rate = float(np.mean([r.success for r in records]))
 
     heights = np.round([r.h_step for r in records], 6)
-    m_terrain = 0.0
-    for h in np.unique(heights):
-        group = [r.success for r, hh in zip(records, heights) if hh == h]
-        if np.mean(group) >= 0.5:
-            m_terrain = max(m_terrain, float(h))
-    return EvalMetrics(e_vel, e_ang, m_terrain, m_reward, rate)
+    rates = [
+        (float(h), np.mean([r.success for r, hh in zip(records, heights) if hh == h]))
+        for h in np.unique(heights)
+    ]
+    return EvalMetrics(e_vel, e_ang, max_passable_height(rates), m_reward, rate)
 
 
 def write_trace(path, rows: list[dict]) -> None:

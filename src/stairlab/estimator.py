@@ -15,12 +15,13 @@ i.e. the negative of the estimated ascent-axis angle in the robot frame.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bev import CH_MEAN, BevGrid, cell_centers
+from .bev import CH_MEAN, GRID_SIZE, BevGrid, cell_centers, key_value_order
 from .errors import ConfigError
 from .world import StairClass, TerrainToken, wrap_pi
 
@@ -64,24 +65,55 @@ def _occupied_cells(grid: BevGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cx, cy, grid.data[CH_MEAN, rows, cols]
 
 
-def _candidate_angles(cfg: EstimatorConfig) -> np.ndarray:
-    lo, hi = cfg.yaw_range_deg
-    n = int(round((hi - lo) / cfg.yaw_pitch_deg))
-    return np.radians(lo + cfg.yaw_pitch_deg * np.arange(n + 1))
+def _candidate_angles(yaw_range_deg: tuple[float, float], yaw_pitch_deg: float) -> np.ndarray:
+    lo, hi = yaw_range_deg
+    n = int(round((hi - lo) / yaw_pitch_deg))
+    return np.radians(lo + yaw_pitch_deg * np.arange(n + 1))
 
 
-def _alignment_scores(
-    cx: np.ndarray, cy: np.ndarray, z: np.ndarray, angles: np.ndarray, bin_width: float
+def _axis_bins(cx: np.ndarray, cy: np.ndarray, phi: float, bin_width: float) -> np.ndarray:
+    """Along-axis bin of each cell center for the axis at angle ``phi``."""
+    s = cx * math.cos(phi) + cy * math.sin(phi)
+    return np.floor(s / bin_width).astype(np.int64)
+
+
+@functools.lru_cache(maxsize=8)
+def _bin_table(
+    yaw_range_deg: tuple[float, float], yaw_pitch_deg: float, bin_width: float
 ) -> np.ndarray:
-    """Mean within-bin variance of cell heights for each candidate axis."""
-    scores = np.empty(angles.shape[0])
+    """Along-axis bin of every grid cell for every candidate angle.
+
+    Shape (n_angles, GRID_SIZE**2), columns in row-major cell order. The
+    bins are shifted by the table's minimum, which keeps their order, and
+    stored read-only in the smallest unsigned type that holds them; the
+    table is filled row by row, so no wider copy of it is ever made.
+    """
+    angles = _candidate_angles(yaw_range_deg, yaw_pitch_deg)
+    cx, cy = cell_centers(*np.divmod(np.arange(GRID_SIZE * GRID_SIZE), GRID_SIZE))
+    # Each bin is monotone in cx and in cy (rounding is monotone), so every
+    # row's extreme bins lie at corner cells.
+    corners = [0, GRID_SIZE - 1, GRID_SIZE * (GRID_SIZE - 1), GRID_SIZE * GRID_SIZE - 1]
+    ends = np.array([_axis_bins(cx[corners], cy[corners], phi, bin_width) for phi in angles])
+    lo = ends.min()
+    table = np.empty((angles.shape[0], cx.shape[0]), dtype=np.min_scalar_type(ends.max() - lo))
     for i, phi in enumerate(angles):
-        s = cx * math.cos(phi) + cy * math.sin(phi)
-        bins = np.floor(s / bin_width).astype(np.int64)
-        bins -= bins.min()
+        table[i] = _axis_bins(cx, cy, phi, bin_width) - lo
+    table.flags.writeable = False
+    return table
+
+
+def _alignment_scores(grid: BevGrid, cfg: EstimatorConfig) -> np.ndarray:
+    """Mean within-bin variance of cell heights for each candidate axis."""
+    table = _bin_table(tuple(cfg.yaw_range_deg), cfg.yaw_pitch_deg, cfg.profile_bin)
+    cells = np.flatnonzero(grid.occupancy)
+    z = grid.data[CH_MEAN].ravel()[cells]
+    zz = z * z
+    scores = np.empty(table.shape[0])
+    for i, row in enumerate(table):
+        bins = row[cells]
         counts = np.bincount(bins)
         sums = np.bincount(bins, weights=z)
-        sumsq = np.bincount(bins, weights=z * z)
+        sumsq = np.bincount(bins, weights=zz)
         occupied = counts > 0
         n = counts[occupied]
         mean = sums[occupied] / n
@@ -99,9 +131,8 @@ def estimate_yaw(grid: BevGrid, cfg: EstimatorConfig) -> float:
     """
     if grid.occupancy.mean() < cfg.min_occupancy:
         return 0.0
-    cx, cy, z = _occupied_cells(grid)
-    angles = _candidate_angles(cfg)
-    scores = _alignment_scores(cx, cy, z, angles, cfg.profile_bin)
+    angles = _candidate_angles(cfg.yaw_range_deg, cfg.yaw_pitch_deg)
+    scores = _alignment_scores(grid, cfg)
 
     best = scores.min()
     tied = np.flatnonzero(scores == best)
@@ -129,10 +160,9 @@ def extract_profile(
     if not grid.occupancy.any():
         return np.empty(0), np.empty(0)
     cx, cy, z = _occupied_cells(grid)
-    s = cx * math.cos(yaw) + cy * math.sin(yaw)
-    bins = np.floor(s / cfg.profile_bin).astype(np.int64)
+    bins = _axis_bins(cx, cy, yaw, cfg.profile_bin)
 
-    order = np.lexsort((z, bins))
+    order = key_value_order(bins, z)
     bins, z = bins[order], z[order]
     starts = np.flatnonzero(np.r_[True, np.diff(bins) != 0])
     counts = np.diff(np.r_[starts, bins.size])

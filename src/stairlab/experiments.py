@@ -18,7 +18,7 @@ import numpy as np
 from . import cloud_io
 from .bev import project, read_grid, write_grid
 from .config import ExperimentConfig, canonical_text, config_hash
-from .env import OBS_DIM, EnvConfig, ObsMode, StepperEnv, metrics
+from .env import OBS_DIM, EnvConfig, ObsMode, StepperEnv, max_passable_height, metrics
 from .errors import ConfigError
 from .estimator import TokenEstimate, estimate_token, format_token_record
 from .nn import save_mlp
@@ -237,17 +237,14 @@ def _terrain_sweep(
     heights,
     episodes: int,
     seed: int,
-) -> tuple[float, dict[float, float]]:
-    rates: dict[float, float] = {}
-    m_terrain = 0.0
+) -> float:
+    """M_terrain of ``policy`` over flights pinned at each of ``heights``."""
+    rates = []
     for j, h in enumerate(heights):
         ranges = replace(world, h_step=(h, h), h_choices=None)
         records = evaluate_policy(policy, env_cfg, ranges, episodes, _eval_seed(seed, 100 + j))
-        rate = float(np.mean([r.success for r in records]))
-        rates[h] = rate
-        if rate >= 0.5:
-            m_terrain = max(m_terrain, h)
-    return m_terrain, rates
+        rates.append((h, np.mean([r.success for r in records])))
+    return max_passable_height(rates)
 
 
 _ABLATION_MODES = (ObsMode.BLIND, ObsMode.HEIGHTSCAN, ObsMode.TOKEN)
@@ -292,7 +289,7 @@ def cmd_ablation(cfg: ExperimentConfig, out_root: Path) -> dict:
                 res.policy, env_cfg, cfg.world, cfg.ablation.eval_episodes, _eval_seed(seed, 0)
             )
             base = metrics(records, cfg.env.horizon)
-            m_terrain, _ = _terrain_sweep(
+            m_terrain = _terrain_sweep(
                 res.policy,
                 env_cfg,
                 cfg.world,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,62 @@ from stairlab.bev import (
     CH_RANGE,
     CH_STD,
     GRID_SIZE,
+    N_CHANNELS,
+    RESOLUTION,
+    BevGrid,
     cell_index,
+    key_value_order,
     project,
     read_grid,
     write_grid,
 )
-from stairlab.sensor import PointCloud, SensorModel, scan
-from stairlab.world import StairClass, StairSpec, TerrainProfile
+from stairlab.sensor import PointCloud, SensorModel, dropout, scan
+from stairlab.world import ParameterRanges, StairClass, StairSpec, TerrainProfile, generate_stairs
 
 
 def cloud_of(points) -> PointCloud:
     return PointCloud(np.asarray(points, dtype=float))
+
+
+def lexsort_project(cloud: PointCloud) -> BevGrid:
+    """Oracle: ``project`` as built on one ``np.lexsort`` over (cell, z)."""
+    pts = cloud.points
+    data = np.zeros((N_CHANNELS, GRID_SIZE, GRID_SIZE))
+    occupancy = np.zeros((GRID_SIZE, GRID_SIZE), dtype=bool)
+    rows = np.floor((pts[:, 0] + 1.5) / RESOLUTION).astype(np.int64)
+    cols = np.floor((pts[:, 1] + 1.5) / RESOLUTION).astype(np.int64)
+    inside = (rows >= 0) & (rows < GRID_SIZE) & (cols >= 0) & (cols < GRID_SIZE)
+    if not inside.any():
+        return BevGrid(data, occupancy)
+    rows, cols, z = rows[inside], cols[inside], pts[inside, 2]
+    flat = rows * GRID_SIZE + cols
+    order = np.lexsort((z, flat))
+    flat, z = flat[order], z[order]
+    starts = np.flatnonzero(np.r_[True, np.diff(flat) != 0])
+    cells = flat[starts]
+    counts = np.diff(np.r_[starts, flat.size])
+    sums = np.add.reduceat(z, starts)
+    means = sums / counts
+    z_max = np.maximum.reduceat(z, starts)
+    z_min = np.minimum.reduceat(z, starts)
+    dev = z - np.repeat(means, counts)
+    var = np.add.reduceat(dev * dev, starts) / counts
+    var[z_max == z_min] = 0.0
+    r, c = cells // GRID_SIZE, cells % GRID_SIZE
+    data[CH_MAX, r, c] = z_max
+    data[CH_MIN, r, c] = z_min
+    data[CH_MEAN, r, c] = means
+    data[CH_RANGE, r, c] = z_max - z_min
+    data[CH_STD, r, c] = np.sqrt(var)
+    data[CH_DENSITY, r, c] = counts / counts.max()
+    occupancy[r, c] = True
+    return BevGrid(data, occupancy)
+
+
+def assert_bits_equal(a: BevGrid, b: BevGrid) -> None:
+    """Equal grids down to the bit, so -0.0 and +0.0 differ."""
+    assert a.data.tobytes() == b.data.tobytes()
+    assert np.array_equal(a.occupancy, b.occupancy)
 
 
 class TestCellIndex:
@@ -134,6 +181,82 @@ class TestProject:
     def test_points_outside_window_ignored(self):
         grid = project(cloud_of([[5.0, 5.0, 1.0], [0.0, 0.0, 0.2]]))
         assert grid.occupancy.sum() == 1
+
+
+class TestLexsortOracle:
+    @pytest.mark.parametrize("occlusion", [False, True], ids=["clear", "occluded"])
+    @pytest.mark.parametrize("stair_class", list(StairClass), ids=lambda c: c.name.lower())
+    def test_seeded_scans_bit_identical(self, stair_class, occlusion):
+        rng = np.random.default_rng(int(stair_class) + 10 * occlusion + 41)
+        ranges = ParameterRanges(h_step=(0.08, 0.25), stair_yaw=(-0.5, 0.5)).with_class(stair_class)
+        for noise in (0.0, 0.01, 0.05):
+            profile = TerrainProfile(generate_stairs(rng, ranges))
+            pose = (rng.uniform(-1.0, 0.5), rng.uniform(-0.3, 0.3), rng.uniform(-math.pi, math.pi))
+            model = SensorModel(noise_sigma_z=noise, occlusion=occlusion)
+            cloud = scan(profile, pose, model, rng)
+            for variant in (cloud, dropout(cloud, 0.3, rng)):
+                assert_bits_equal(project(variant), lexsort_project(variant))
+                shuffled = cloud_of(variant.points[rng.permutation(len(variant))])
+                assert_bits_equal(project(shuffled), lexsort_project(shuffled))
+
+    def test_outside_points_single_cells_and_duplicate_z(self):
+        # Points beyond the grid, many single-point cells, and z drawn from
+        # five values (zeros of both signs among them) so that cells hold
+        # runs of equal z.
+        rng = np.random.default_rng(12)
+        for n in (1, 7, 300, 5000):
+            z = rng.choice([-0.2, -0.0, 0.0, 0.1, 0.3], n)
+            pts = np.column_stack([rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n), z])
+            assert_bits_equal(project(cloud_of(pts)), lexsort_project(cloud_of(pts)))
+
+    @pytest.mark.parametrize(
+        "zs",
+        [
+            [0.0, -0.0],
+            [-0.0, 0.0],
+            [-0.0, -0.0, 0.0, -0.0],
+            [0.0, -0.0, -0.1],
+            [-0.0, 0.0, -0.1],
+            [0.1, -0.0, 0.0],
+            [0.0, 0.1, -0.0, -0.1, 0.0],
+        ],
+    )
+    def test_signed_zeros_in_one_cell(self, zs):
+        pts = [[0.01, 0.01, z] for z in zs] + [[0.3, 0.3, -0.0], [0.3, 0.31, 0.0]]
+        assert_bits_equal(project(cloud_of(pts)), lexsort_project(cloud_of(pts)))
+
+    def test_signed_zero_extreme_follows_input_order(self):
+        # The documented exception to permutation invariance: the sign of
+        # a zero extreme depends on the order of the zeros in the cell.
+        a = project(cloud_of([[0.01, 0.01, 0.0], [0.01, 0.01, -0.0]]))
+        b = project(cloud_of([[0.01, 0.01, -0.0], [0.01, 0.01, 0.0]]))
+        assert a.data[CH_MAX, 30, 30] == b.data[CH_MAX, 30, 30] == 0.0
+        assert math.copysign(1.0, a.data[CH_MAX, 30, 30]) != math.copysign(
+            1.0, b.data[CH_MAX, 30, 30]
+        )
+
+
+class TestKeyValueOrder:
+    @pytest.mark.parametrize("key_span", [3, 3600, 70_000, 5_000_000])
+    def test_matches_lexsort(self, key_span):
+        # Spans of 8, 16, 32 and 32 bits after the shift, negative keys
+        # included, and values with duplicates and zeros of both signs.
+        rng = np.random.default_rng(key_span)
+        keys = rng.integers(-key_span // 2, key_span - key_span // 2, 4000)
+        values = np.where(
+            rng.random(4000) < 0.5,
+            rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], 4000),
+            rng.normal(0.0, 1.0, 4000),
+        )
+        order = key_value_order(keys, values)
+        oracle = np.lexsort((values, keys))
+        # Equal non-zero values may swap places; their bits cannot tell.
+        assert np.array_equal(keys[order], keys[oracle])
+        assert values[order].tobytes() == values[oracle].tobytes()
+        assert np.array_equal(np.sort(order), np.arange(4000))
+
+    def test_single_element(self):
+        assert key_value_order(np.array([5]), np.array([-0.0])).tolist() == [0]
 
 
 class TestGridFile:

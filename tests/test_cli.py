@@ -157,6 +157,25 @@ class TestSingleFileCommands:
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith(f"error: {bad}: ")
 
+    @pytest.mark.parametrize(
+        "name,body",
+        [("nan.xyz", "0 0 0\nnan 0 0\n"), ("inf.xyz", "0 0 inf\n"), ("alpha.ply", None)],
+        ids=["nan_xyz", "inf_xyz", "alpha_ply"],
+    )
+    def test_bad_coordinate_nonzero_exit(self, tmp_path, capsys, name, body):
+        bad = tmp_path / name
+        bad.write_text(
+            body
+            or "ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+            "property float y\nproperty float z\nend_header\n1 2 a\n"
+        )
+        assert main(["ingest", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(f"error: {bad}: line ")
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("damage", ["truncate", "nan"])
     def test_damaged_grid_nonzero_exit(self, tmp_path, capsys, damage):
         _, path = self.make_cloud(tmp_path)

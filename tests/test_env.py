@@ -13,6 +13,7 @@ from stairlab.env import (
     TokenSource,
     TRACE_COLUMNS,
     arc_heights,
+    max_passable_height,
     metrics,
     write_trace,
 )
@@ -327,6 +328,13 @@ class TestTraceAndMetrics:
                                   StairClass.STAIRS_UP, h, 0.3, 0.1, 0.1)
                 )
         assert metrics(records, horizon=10).m_terrain == pytest.approx(0.2)
+
+    def test_max_passable_height(self):
+        assert max_passable_height([]) == 0.0
+        assert max_passable_height([(0.12, 0.4), (0.16, 0.0)]) == 0.0
+        assert max_passable_height([(0.12, 1.0), (0.16, 0.5), (0.2, 0.49)]) == 0.16
+        # Heights need not be sorted or distinct: one passing run suffices.
+        assert max_passable_height([(0.2, 0.5), (0.12, 1.0), (0.2, 0.0)]) == 0.2
 
     def test_metrics_empty_rejected(self):
         with pytest.raises(ValueError):

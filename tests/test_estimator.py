@@ -3,20 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from stairlab.bev import project
+from stairlab import estimator
+from stairlab.bev import GRID_SIZE, project
 from stairlab.errors import ConfigError
 from stairlab.estimator import (
     EstimatorConfig,
     StepAnalysis,
+    _alignment_scores,
+    _bin_table,
+    _candidate_angles,
+    _occupied_cells,
     analyze_steps,
     estimate_token,
     estimate_yaw,
     extract_profile,
+    format_token_record,
     riser_ahead,
     wrap_ahead,
 )
-from stairlab.sensor import PointCloud, SensorModel, scan
-from stairlab.world import StairClass, StairSpec, TerrainProfile
+from stairlab.sensor import PointCloud, SensorModel, dropout, scan
+from stairlab.world import ParameterRanges, StairClass, StairSpec, TerrainProfile, generate_stairs
 
 CFG = EstimatorConfig()
 NOISELESS = SensorModel(noise_sigma_z=0.0)
@@ -36,6 +42,118 @@ def flat_grid(noise=0.0, seed=0):
     spec = StairSpec(StairClass.FLAT, 0.0, 0.0, 0.0, 1, 1.0, 1.0)
     cloud = scan(TerrainProfile(spec), (0, 0, 0), SensorModel(noise_sigma_z=noise), seed)
     return project(cloud)
+
+
+def loop_alignment_scores(grid, cfg):
+    """Oracle: bin the occupied cell centers along each candidate axis on every call."""
+    cx, cy, z = _occupied_cells(grid)
+    angles = _candidate_angles(cfg.yaw_range_deg, cfg.yaw_pitch_deg)
+    scores = np.empty(angles.shape[0])
+    for i, phi in enumerate(angles):
+        s = cx * math.cos(phi) + cy * math.sin(phi)
+        bins = np.floor(s / cfg.profile_bin).astype(np.int64)
+        bins -= bins.min()
+        counts = np.bincount(bins)
+        sums = np.bincount(bins, weights=z)
+        sumsq = np.bincount(bins, weights=z * z)
+        occupied = counts > 0
+        n = counts[occupied]
+        mean = sums[occupied] / n
+        var = np.maximum(sumsq[occupied] / n - mean * mean, 0.0)
+        scores[i] = var.mean()
+    return scores
+
+
+def lexsort_profile(grid, yaw, cfg):
+    """Oracle: ``extract_profile`` sorted by one ``np.lexsort`` over (bin, z)."""
+    if not grid.occupancy.any():
+        return np.empty(0), np.empty(0)
+    cx, cy, z = _occupied_cells(grid)
+    s = cx * math.cos(yaw) + cy * math.sin(yaw)
+    bins = np.floor(s / cfg.profile_bin).astype(np.int64)
+    order = np.lexsort((z, bins))
+    bins, z = bins[order], z[order]
+    starts = np.flatnonzero(np.r_[True, np.diff(bins) != 0])
+    counts = np.diff(np.r_[starts, bins.size])
+    return (bins[starts] + 0.5) * cfg.profile_bin, z[starts + (counts - 1) // 2]
+
+
+ORACLE_CONFIGS = [
+    EstimatorConfig(),
+    EstimatorConfig(profile_bin=0.01),
+    EstimatorConfig(profile_bin=0.2),
+    EstimatorConfig(yaw_range_deg=(-30.0, 60.0), yaw_pitch_deg=0.5),
+]
+
+
+@pytest.fixture(scope="module")
+def oracle_grids():
+    """Seeded scans of every class, with noise, occlusion and dropout, plus
+    sparse grids just below and just above the default occupancy gate."""
+    rng = np.random.default_rng(2024)
+    grids = []
+    for stair_class in StairClass:
+        ranges = ParameterRanges(h_step=(0.08, 0.25), stair_yaw=(-0.6, 0.6)).with_class(stair_class)
+        for noise, occlusion in ((0.0, False), (0.01, True), (0.05, False)):
+            profile = TerrainProfile(generate_stairs(rng, ranges))
+            pose = (rng.uniform(-1.0, 0.5), rng.uniform(-0.3, 0.3), rng.uniform(-0.5, 0.5))
+            cloud = scan(profile, pose, SensorModel(noise_sigma_z=noise, occlusion=occlusion), rng)
+            grids.append(project(cloud))
+            grids.append(project(dropout(cloud, 0.9, rng)))
+    gate = int(CFG.min_occupancy * GRID_SIZE * GRID_SIZE)
+    for n_cells in (gate - 1, gate + 1):
+        cells = rng.choice(GRID_SIZE * GRID_SIZE, n_cells, replace=False)
+        x = -1.5 + (cells // GRID_SIZE + 0.5) * 0.05
+        y = -1.5 + (cells % GRID_SIZE + 0.5) * 0.05
+        grids.append(project(PointCloud(np.column_stack([x, y, rng.normal(0.0, 0.1, n_cells)]))))
+    return grids
+
+
+class TestTableOracle:
+    def test_scores_bit_identical_to_loop(self, oracle_grids):
+        # All configs in one process: each gets its own cached table.
+        for grid in oracle_grids:
+            for cfg in ORACLE_CONFIGS:
+                fast = _alignment_scores(grid, cfg)
+                assert fast.tobytes() == loop_alignment_scores(grid, cfg).tobytes()
+
+    def test_profile_bit_identical_to_lexsort(self, oracle_grids):
+        rng = np.random.default_rng(5)
+        for grid in oracle_grids:
+            for cfg in ORACLE_CONFIGS:
+                yaw = float(rng.uniform(-0.8, 0.8))
+                fast = extract_profile(grid, yaw, cfg)
+                oracle = lexsort_profile(grid, yaw, cfg)
+                assert [a.tobytes() for a in fast] == [a.tobytes() for a in oracle]
+
+    def test_tokens_bit_identical_to_oracle_pipeline(self, oracle_grids, monkeypatch):
+        def records():
+            out = []
+            for grid in oracle_grids:
+                for cfg in ORACLE_CONFIGS:
+                    est = estimate_token(grid, cfg)
+                    out.append(format_token_record(est) + f" {est.next_riser!r}")
+            return out
+
+        fast = records()
+        monkeypatch.setattr(estimator, "_alignment_scores", loop_alignment_scores)
+        monkeypatch.setattr(estimator, "extract_profile", lexsort_profile)
+        assert fast == records()
+        assert any(r.split()[0] != "0" for r in fast)
+
+    @pytest.mark.parametrize(
+        "cfg,dtype",
+        [(EstimatorConfig(), np.uint8), (EstimatorConfig(profile_bin=0.01), np.uint16),
+         (EstimatorConfig(profile_bin=1e-5), np.uint32)],
+    )
+    def test_table_dtype_and_cache(self, cfg, dtype):
+        key = (cfg.yaw_range_deg, cfg.yaw_pitch_deg, cfg.profile_bin)
+        table = _bin_table(*key)
+        assert table.dtype == dtype
+        assert table.shape == (len(_candidate_angles(*key[:2])), GRID_SIZE * GRID_SIZE)
+        assert table.min() == 0
+        assert not table.flags.writeable
+        assert _bin_table(*key) is table
 
 
 class TestEstimateYaw:

@@ -274,3 +274,24 @@ class TestCloudIO:
         path.write_text("1 2 3\n4 5\n")
         with pytest.raises(ValueError, match="line 2"):
             read_xyz(path)
+
+    def test_non_numeric_ply_vertex(self, tmp_path):
+        path = tmp_path / "bad.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+            "property float y\nproperty float z\nend_header\n0 0 0\n\n1 2 a\n"
+        )
+        with pytest.raises(ValueError, match=f"^{path}: line 10: non-numeric value$"):
+            read_ply(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    @pytest.mark.parametrize("fmt", ["xyz", "ply"])
+    def test_non_finite_coordinate_rejected(self, tmp_path, fmt, value):
+        cloud = PointCloud(np.array([[0.0, 0.1, 0.2], [0.3, 0.4, 0.5]]))
+        path = tmp_path / f"cloud.{fmt}"
+        (write_ply if fmt == "ply" else write_xyz)(path, cloud)
+        lines = path.read_text().splitlines()
+        lines[-1] = f"0.3 {value} 0.5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{path}: line {len(lines)}: non-finite coordinate$"):
+            read_cloud(path)
