@@ -2,7 +2,8 @@
 
 Both writers emit full-precision decimal floats so that a write/read
 round trip reproduces the in-memory coordinates exactly. Both readers
-reject a non-numeric or non-finite coordinate, naming the path and line.
+reject a non-numeric or non-finite coordinate, naming the path and line,
+and a file that does not decode as text, naming the path.
 """
 
 from __future__ import annotations
@@ -24,6 +25,13 @@ def write_xyz(path, cloud: PointCloud) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
+def _text_lines(path) -> list[str]:
+    try:
+        return Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a text file (bad byte at offset {exc.start})") from exc
+
+
 def _point(path, lineno: int, parts: list[str]) -> list[float]:
     """The coordinates on line ``lineno``; non-numeric or non-finite ones are rejected."""
     try:
@@ -37,7 +45,7 @@ def _point(path, lineno: int, parts: list[str]) -> list[float]:
 
 def read_xyz(path) -> PointCloud:
     pts = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_text_lines(path), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -66,7 +74,7 @@ def read_ply(path) -> PointCloud:
 
     Binary PLY variants are rejected with a clear error.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = _text_lines(path)
     if not lines or lines[0].strip() != "ply":
         raise ValueError(f"{path}: not a PLY file (missing 'ply' magic line)")
 

@@ -1,24 +1,29 @@
 """Experiment configuration: strict INI-style key-value files.
 
-Every tunable of the pipeline lives in one ``ExperimentConfig``. Files
-override defaults section by section; unknown sections or keys are
-rejected. Paths in the file resolve relative to the file itself. The
-canonical text dump of the effective config is hashed into output
-manifests so re-runs are verifiable.
+Every tunable of the pipeline has one owner in the tree of frozen
+dataclasses under ``ExperimentConfig``. Each INI section names the
+dataclass it edits (``_SECTIONS``), and a key named like one of its fields
+sets that field with the converter the field's type implies; the keys that
+rename a field or set part of one are listed in ``_ALIASES``. Files
+override defaults; unknown sections or keys are rejected. Paths in the
+file resolve relative to the file itself. The canonical text dump of the
+effective config, one line per setting, is hashed into output manifests
+so re-runs are verifiable.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
 
-from .env import EnvConfig, ObsMode, RewardWeights, TokenSource
+from .env import EnvConfig
 from .errors import ConfigError
-from .estimator import EstimatorConfig
-from .nn import TerrainLossWeights
 from .ppo import PpoConfig, TrainConfig
 from .sensor import SensorModel
 from .world import ParameterRanges
@@ -75,21 +80,24 @@ class TrackConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     world: ParameterRanges = ParameterRanges()
-    sensor: SensorModel = SensorModel()
-    estimator: EstimatorConfig = EstimatorConfig()
     # Observation noise mirrors the perception stack: height scans carry
     # the depth sensor's sigma, tokens the estimator's error scale. The
     # EnvConfig type itself defaults both to zero.
     env: EnvConfig = EnvConfig(heightscan_noise=0.01, token_noise_h=0.005, token_noise_d=0.005)
     ppo: PpoConfig = PpoConfig(horizon=128, n_envs=16)
     train: TrainConfig = TrainConfig()
-    loss: TerrainLossWeights = TerrainLossWeights()
     run: RunConfig = RunConfig()
     benchmark: BenchmarkConfig = BenchmarkConfig()
     ablation: AblationConfig = AblationConfig()
     generalize: GeneralizeConfig = GeneralizeConfig()
     track: TrackConfig = TrackConfig()
     base_dir: Path = field(default_factory=Path.cwd)
+
+    @property
+    def sensor(self) -> SensorModel:
+        # Read-only view kept for the benchmark harness (perfbench/workloads.py),
+        # which reads ``cfg.sensor``. The owner is ``env.sensor``.
+        return self.env.sensor
 
 
 def _parse_bool(raw: str) -> bool:
@@ -99,18 +107,6 @@ def _parse_bool(raw: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"expected boolean, got {raw!r}")
-
-
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-
-
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-
-
-def _parse_str_list(raw: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
 
 
 def _parse_schedule(raw: str) -> tuple[tuple[int, float], ...]:
@@ -129,170 +125,157 @@ def _parse_schedule(raw: str) -> tuple[tuple[int, float], ...]:
     return tuple(out)
 
 
-# section -> key -> (target dataclass field path, converter)
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
+def _converter(tp):
+    """Parser of one INI value into a field of type ``tp``."""
+    if tp is bool:
+        return _parse_bool
+    if tp is str:
+        return str.strip
+    if tp in (int, float) or (isinstance(tp, type) and issubclass(tp, Enum)):
+        return tp
+    args = typing.get_args(tp)
+    if type(None) in args:
+        return _converter(next(a for a in args if a is not type(None)))
+    if typing.get_origin(tp) is tuple and args[-1] is Ellipsis:
+        if typing.get_origin(args[0]) is tuple:
+            return _parse_schedule
+        item = _converter(args[0])
+        return lambda raw: tuple(item(tok) for tok in raw.split(",") if tok.strip())
+    raise TypeError(f"no INI converter for {tp}")
+
+
+# INI section -> the dataclass it edits, as a field path from ExperimentConfig.
+_SECTIONS = {
+    "world": "world",
+    "sensor": "env.sensor",
+    "estimator": "env.estimator",
+    "env": "env",
+    "ppo": "ppo",
+    "train": "train",
+    "loss": "train.loss",
+    "run": "run",
+    "benchmark": "benchmark",
+    "ablation": "ablation",
+    "generalize": "generalize",
+    "track": "track",
+}
+
+# Keys that rename or split a field: key -> field path within the section's
+# dataclass, with ``[i]`` to set one element of a tuple and ``[:]`` to set
+# every element. A field an alias targets has no key of its own name.
+_ALIASES = {
     "world": {
-        "h_min": ("world.h_step.0", float),
-        "h_max": ("world.h_step.1", float),
-        "h_choices": ("world.h_choices", _parse_float_list),
-        "d_min": ("world.d_step.0", float),
-        "d_max": ("world.d_step.1", float),
-        "yaw_min_deg": ("world.stair_yaw.0", lambda s: math.radians(float(s))),
-        "yaw_max_deg": ("world.stair_yaw.1", lambda s: math.radians(float(s))),
-        "n_steps_min": ("world.n_steps.0", int),
-        "n_steps_max": ("world.n_steps.1", int),
-        "lead_flat_min": ("world.lead_flat.0", float),
-        "lead_flat_max": ("world.lead_flat.1", float),
-        "tail_flat_min": ("world.tail_flat.0", float),
-        "tail_flat_max": ("world.tail_flat.1", float),
-        "origin_x": ("world.origin_x.both", float),
-        "origin_y": ("world.origin_y.both", float),
-        "weight_flat": ("world.class_weights.0", float),
-        "weight_up": ("world.class_weights.1", float),
-        "weight_down": ("world.class_weights.2", float),
+        "h_min": "h_step[0]",
+        "h_max": "h_step[1]",
+        "d_min": "d_step[0]",
+        "d_max": "d_step[1]",
+        "yaw_min_deg": "stair_yaw[0]",
+        "yaw_max_deg": "stair_yaw[1]",
+        "n_steps_min": "n_steps[0]",
+        "n_steps_max": "n_steps[1]",
+        "lead_flat_min": "lead_flat[0]",
+        "lead_flat_max": "lead_flat[1]",
+        "tail_flat_min": "tail_flat[0]",
+        "tail_flat_max": "tail_flat[1]",
+        "origin_x": "origin_x[:]",
+        "origin_y": "origin_y[:]",
+        "weight_flat": "class_weights[0]",
+        "weight_up": "class_weights[1]",
+        "weight_down": "class_weights[2]",
     },
     "sensor": {
-        "window": ("sensor.window", float),
-        "pitch": ("sensor.sample_pitch", float),
-        "noise_sigma_z": ("sensor.noise_sigma_z", float),
-        "dropout": ("sensor.dropout_rate", float),
-        "occlusion": ("sensor.occlusion", _parse_bool),
-        "sensor_height": ("sensor.sensor_height", float),
+        "pitch": "sample_pitch",
+        "dropout": "dropout_rate",
     },
     "estimator": {
-        "yaw_min_deg": ("estimator.yaw_range_deg.0", float),
-        "yaw_max_deg": ("estimator.yaw_range_deg.1", float),
-        "yaw_pitch_deg": ("estimator.yaw_pitch_deg", float),
-        "profile_bin": ("estimator.profile_bin", float),
-        "riser_threshold": ("estimator.riser_threshold", float),
-        "min_risers": ("estimator.min_risers_for_stairs", int),
-        "min_occupancy": ("estimator.min_occupancy", float),
+        "yaw_min_deg": "yaw_range_deg[0]",
+        "yaw_max_deg": "yaw_range_deg[1]",
+        "min_risers": "min_risers_for_stairs",
     },
     "env": {
-        "obs_mode": ("env.obs_mode", ObsMode),
-        "token_source": ("env.token_source", TokenSource),
-        "horizon": ("env.horizon", int),
-        "edge_margin": ("env.edge_margin", float),
-        "v_cmd_min": ("env.v_cmd_range.0", float),
-        "v_cmd_max": ("env.v_cmd_range.1", float),
-        "w_velocity": ("env.reward.velocity", float),
-        "w_forward": ("env.reward.forward", float),
-        "w_clearance": ("env.reward.clearance", float),
-        "w_heading": ("env.reward.heading", float),
-        "tracking_scale": ("env.reward.tracking_scale", float),
-        "terminal_bonus": ("env.reward.terminal_bonus", float),
-        "token_noise_h": ("env.token_noise_h", float),
-        "token_noise_d": ("env.token_noise_d", float),
-        "token_flip_p": ("env.token_flip_p", float),
-        "heightscan_noise": ("env.heightscan_noise", float),
-        "flat_goal": ("env.flat_goal", float),
-        "v_avg_alpha": ("env.v_avg_alpha", float),
-        "step_dt": ("env.step_dt", float),
-        "token_refresh": ("env.token_refresh", int),
-    },
-    "ppo": {
-        "gamma": ("ppo.gamma", float),
-        "gae_lambda": ("ppo.gae_lambda", float),
-        "clip": ("ppo.clip", float),
-        "epochs": ("ppo.epochs", int),
-        "minibatches": ("ppo.minibatches", int),
-        "entropy_coef": ("ppo.entropy_coef", float),
-        "value_coef": ("ppo.value_coef", float),
-        "learning_rate": ("ppo.learning_rate", float),
-        "horizon": ("ppo.horizon", int),
-        "n_envs": ("ppo.n_envs", int),
-        "alpha": ("ppo.alpha", float),
-    },
-    "train": {
-        "stage1_updates": ("train.stage1_updates", int),
-        "stage2_updates": ("train.stage2_updates", int),
-        "stage3_updates": ("train.stage3_updates", int),
-        "stage2_epochs": ("train.stage2_epochs", int),
-        "estimator_lr": ("train.estimator_lr", float),
-    },
-    "loss": {
-        "lambda_cls": ("loss.lambda_cls", float),
-        "lambda_h": ("loss.lambda_h", float),
-        "lambda_d": ("loss.lambda_d", float),
-    },
-    "run": {
-        "seeds": ("run.seeds", _parse_int_list),
-        "out_dir": ("run.out_dir", str),
+        "v_cmd_min": "v_cmd_range[0]",
+        "v_cmd_max": "v_cmd_range[1]",
+        "w_velocity": "reward.velocity",
+        "w_forward": "reward.forward",
+        "w_clearance": "reward.clearance",
+        "w_heading": "reward.heading",
+        "tracking_scale": "reward.tracking_scale",
+        "terminal_bonus": "reward.terminal_bonus",
     },
     "benchmark": {
-        "n_configs": ("benchmark.n_configs", int),
-        "h_min": ("benchmark.h_range.0", float),
-        "h_max": ("benchmark.h_range.1", float),
-        "d_min": ("benchmark.d_range.0", float),
-        "d_max": ("benchmark.d_range.1", float),
-        "yaw_min_deg": ("benchmark.yaw_range_deg.0", float),
-        "yaw_max_deg": ("benchmark.yaw_range_deg.1", float),
-        "weight_flat": ("benchmark.class_weights.0", float),
-        "weight_up": ("benchmark.class_weights.1", float),
-        "weight_down": ("benchmark.class_weights.2", float),
-        "dropout": ("benchmark.dropout", float),
-    },
-    "ablation": {
-        "updates": ("ablation.updates", int),
-        "eval_episodes": ("ablation.eval_episodes", int),
-        "terrain_heights": ("ablation.terrain_heights", _parse_float_list),
-        "terrain_episodes": ("ablation.terrain_episodes", int),
-        "success_threshold": ("ablation.success_threshold", float),
-        "success_window": ("ablation.success_window", int),
-    },
-    "generalize": {
-        "updates": ("generalize.updates", int),
-        "train_heights": ("generalize.train_heights", _parse_float_list),
-        "eval_heights": ("generalize.eval_heights", _parse_float_list),
-        "episodes": ("generalize.episodes", int),
-        "modes": ("generalize.modes", _parse_str_list),
-    },
-    "track": {
-        "updates": ("track.updates", int),
-        "schedule": ("track.schedule", _parse_schedule),
-        "h_step": ("track.h_step", float),
-        "d_step": ("track.d_step", float),
-        "n_steps": ("track.n_steps", int),
-        "policy_dir": ("track.policy_dir", str),
-        "steady_bound": ("track.steady_bound", float),
+        "h_min": "h_range[0]",
+        "h_max": "h_range[1]",
+        "d_min": "d_range[0]",
+        "d_max": "d_range[1]",
+        "yaw_min_deg": "yaw_range_deg[0]",
+        "yaw_max_deg": "yaw_range_deg[1]",
+        "weight_flat": "class_weights[0]",
+        "weight_up": "class_weights[1]",
+        "weight_down": "class_weights[2]",
     },
 }
 
+# The world's yaw keys are in degrees; the field holds radians.
+_DEGREE_KEYS = {("world", "yaw_min_deg"), ("world", "yaw_max_deg")}
 
-def _set_path(tree: dict, path: str, value) -> None:
-    parts = path.split(".")
-    node = tree
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-    node[parts[-1]] = value
+# Settings that no key sets.
+_NO_KEY = {"env.command_schedule", "env.estimator.merge_floor"}
 
 
-def _tuple_update(current: tuple, edits: dict) -> tuple:
-    out = list(current)
-    for idx, value in edits.items():
-        if idx == "both":
-            out = [value] * len(out)
-        else:
-            out[int(idx)] = value
-    return tuple(out)
+def _in_radians(convert):
+    return lambda raw: math.radians(convert(raw))
 
 
-def _rebuild(obj, edits: dict):
-    """Apply nested edits to a frozen dataclass."""
-    kwargs = {}
+_hints = functools.cache(typing.get_type_hints)
+
+
+def _field_type(cls, path: str):
+    for name in path.split("."):
+        cls = _hints(cls)[name]
+    return cls
+
+
+def _build_keys() -> dict[str, dict[str, tuple]]:
+    """section -> key -> (field path, tuple indices it sets or None, converter)."""
+    keys: dict[str, dict[str, tuple]] = {}
+    for section, owner in _SECTIONS.items():
+        cls = _field_type(ExperimentConfig, owner)
+        aliases = _ALIASES.get(section, {})
+        taken = {target.split("[")[0].split(".")[0] for target in aliases.values()}
+        hints = _hints(cls)
+        keys[section] = {
+            f.name: (f"{owner}.{f.name}", None, _converter(hints[f.name]))
+            for f in fields(cls)
+            if not is_dataclass(hints[f.name])
+            and f.name not in taken
+            and f"{owner}.{f.name}" not in _NO_KEY
+        }
+        for key, target in aliases.items():
+            name, _, index = target.rstrip("]").partition("[")
+            tp = _field_type(cls, name)
+            items = typing.get_args(tp)
+            # "[i]" sets element i, "[:]" every element, no index the whole field.
+            indices = tuple(range(len(items))) if index == ":" else (int(index),) if index else None
+            convert = _converter(items[indices[0]] if indices else tp)
+            if (section, key) in _DEGREE_KEYS:
+                convert = _in_radians(convert)
+            keys[section][key] = (f"{owner}.{name}", indices, convert)
+    return keys
+
+
+_KEYS = _build_keys()
+
+
+def _with_values(obj, prefix: str, values: dict):
+    """``obj`` with the fields named in ``values`` set; each dataclass is rebuilt once."""
+    changes = {}
     for f in fields(obj):
-        if f.name not in edits:
-            continue
-        sub = edits[f.name]
-        current = getattr(obj, f.name)
-        if isinstance(sub, dict):
-            if isinstance(current, tuple):
-                kwargs[f.name] = _tuple_update(current, sub)
-            else:
-                kwargs[f.name] = _rebuild(current, sub)
-        else:
-            kwargs[f.name] = sub
-    return replace(obj, **kwargs)
+        path = prefix + f.name
+        if path in values:
+            changes[f.name] = values[path]
+        elif any(p.startswith(path + ".") for p in values):
+            changes[f.name] = _with_values(getattr(obj, f.name), path + ".", values)
+    return replace(obj, **changes)
 
 
 def parse_config_text(text: str, base_dir: Path) -> ExperimentConfig:
@@ -302,24 +285,28 @@ def parse_config_text(text: str, base_dir: Path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
-    edits: dict = {}
+    cfg = ExperimentConfig(base_dir=base_dir)
+    values: dict = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            path, converter = _SCHEMA[section][key]
+            path, indices, convert = _KEYS[section][key]
             try:
-                value = converter(raw)
+                value = convert(raw)
             except ConfigError:
                 raise
             except Exception as exc:
                 raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}: {exc}") from exc
-            _set_path(edits, path, value)
-
-    cfg = ExperimentConfig(base_dir=base_dir)
-    return _rebuild(cfg, edits)
+            if indices is not None:
+                items = list(values.get(path, functools.reduce(getattr, path.split("."), cfg)))
+                for i in indices:
+                    items[i] = value
+                value = tuple(items)
+            values[path] = value
+    return _with_values(cfg, "", values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -332,34 +319,35 @@ def default_config() -> ExperimentConfig:
 
 
 def _format_value(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (ObsMode, TokenSource)):
+    if isinstance(value, Enum):
         return value.value
+    if isinstance(value, tuple) and value and isinstance(value[0], tuple):
+        return ",".join(f"{int(t)}:{v!r}" for t, v in value)
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
     return str(value)
 
 
-def canonical_text(cfg: ExperimentConfig) -> str:
-    """Deterministic dump of every effective setting, for hashing/manifests."""
+def _setting_lines(obj, prefix: str) -> list[str]:
     lines = []
-    for section_field in fields(cfg):
-        if section_field.name == "base_dir":
-            continue
-        section = getattr(cfg, section_field.name)
-        for f in sorted(fields(section), key=lambda f: f.name):
-            value = getattr(section, f.name)
-            if value is None:
-                rendered = ""
-            elif isinstance(value, tuple) and value and isinstance(value[0], tuple):
-                rendered = ",".join(f"{int(t)}:{v!r}" for t, v in value)
-            else:
-                rendered = _format_value(value)
-            lines.append(f"{section_field.name}.{f.name} = {rendered}")
-    return "\n".join(lines) + "\n"
+    for f in sorted(fields(obj), key=lambda f: f.name):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            lines += _setting_lines(value, f"{prefix}{f.name}.")
+        elif f.name != "base_dir":
+            lines.append(f"{prefix}{f.name} = {_format_value(value)}")
+    return lines
+
+
+def canonical_text(cfg: ExperimentConfig) -> str:
+    """Deterministic dump of every effective setting, one line each, for hashing/manifests."""
+    return "\n".join(_setting_lines(cfg, "")) + "\n"
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -14,7 +14,6 @@ the along-axis distance to the next riser ahead.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -51,20 +50,6 @@ ACTION_HIGH = np.array([STRIDE_BOUNDS[1], CLEARANCE_BOUNDS[1], DHEADING_BOUNDS[1
 
 ARC_SAMPLE_PITCH = 0.01
 _SCUFF_EPS = 1e-9
-
-TRACE_COLUMNS = (
-    "time",
-    "s",
-    "support_height",
-    "v_cmd",
-    "v_avg",
-    "heading_err",
-    "stride",
-    "clearance",
-    "dheading",
-    "reward",
-    "event",
-)
 
 
 class ObsMode(str, Enum):
@@ -504,11 +489,3 @@ def metrics(records: list[EpisodeRecord], horizon: int) -> EvalMetrics:
     ]
     return EvalMetrics(e_vel, e_ang, max_passable_height(rates), m_reward, rate)
 
-
-def write_trace(path, rows: list[dict]) -> None:
-    """Episode trace CSV with the fixed column set."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})

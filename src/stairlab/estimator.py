@@ -23,7 +23,7 @@ import numpy as np
 
 from .bev import CH_MEAN, GRID_SIZE, BevGrid, cell_centers, key_value_order
 from .errors import ConfigError
-from .world import StairClass, TerrainToken, wrap_pi
+from .world import MAX_STEP_DEPTH, MAX_STEP_HEIGHT, StairClass, TerrainToken, wrap_pi
 
 
 @dataclass(frozen=True)
@@ -302,13 +302,15 @@ def estimate_token(grid: BevGrid, cfg: EstimatorConfig | None = None) -> TokenEs
     confidence = coverage * (0.5 if res.sign_conflict else 1.0)
 
     theta = wrap_pi(-yaw)
-    if res.stair_class == StairClass.FLAT:
-        token = TerrainToken(StairClass.FLAT, 0.0, 0.0, theta)
-        next_riser = 0.0
-    else:
+    if res.h_step > MAX_STEP_HEIGHT or res.d_step > MAX_STEP_DEPTH:
+        # Steps beyond the world caps are no stairs the pipeline can meet:
+        # report flat at zero confidence; the riser count stays as the clue.
+        confidence = 0.0
+    elif res.stair_class != StairClass.FLAT:
         token = TerrainToken(res.stair_class, res.h_step, res.d_step, theta)
-        next_riser = riser_ahead(res)
-    return TokenEstimate(token, float(confidence), res.risers_found, next_riser)
+        return TokenEstimate(token, float(confidence), res.risers_found, riser_ahead(res))
+    flat = TerrainToken(StairClass.FLAT, 0.0, 0.0, theta)
+    return TokenEstimate(flat, float(confidence), res.risers_found)
 
 
 def format_token_record(est: TokenEstimate) -> str:

@@ -100,7 +100,7 @@ def cmd_gen(cfg: ExperimentConfig, out_root: Path) -> list[dict]:
         spec_seed, scan_seed = np.random.SeedSequence(seed).spawn(2)
         spec = generate_stairs(np.random.default_rng(spec_seed), cfg.world)
         profile = TerrainProfile(spec)
-        cloud = scan(profile, _start_pose(spec), cfg.sensor, np.random.default_rng(scan_seed))
+        cloud = scan(profile, _start_pose(spec), cfg.env.sensor, np.random.default_rng(scan_seed))
         grid = project(cloud)
 
         case_dir = out / f"seed_{seed:06d}"
@@ -150,10 +150,10 @@ def benchmark_case(
     spec = generate_stairs(np.random.default_rng(spec_seed), ranges)
     profile = TerrainProfile(spec)
     pose = _start_pose(spec)
-    cloud = scan(profile, pose, cfg.sensor, np.random.default_rng(scan_seed))
+    cloud = scan(profile, pose, cfg.env.sensor, np.random.default_rng(scan_seed))
     if cfg.benchmark.dropout > 0.0:
         cloud = dropout(cloud, cfg.benchmark.dropout, np.random.default_rng(drop_seed))
-    est = estimate_token(project(cloud), cfg.estimator)
+    est = estimate_token(project(cloud), cfg.env.estimator)
     gt = ground_truth_token(spec, pose[2], pose[:2])
     err = {
         "h_err": abs(est.token.h_step - gt.h_step),
@@ -196,7 +196,7 @@ def cmd_benchmark_estimator(cfg: ExperimentConfig, out_root: Path) -> dict:
 
     summary = {
         "n_configs": cfg.benchmark.n_configs,
-        "noise_sigma_z": cfg.sensor.noise_sigma_z,
+        "noise_sigma_z": cfg.env.sensor.noise_sigma_z,
         "dropout": cfg.benchmark.dropout,
         "mae_h_m": float(np.mean(h_errs)),
         "mae_d_m": float(np.mean(d_errs)),
@@ -457,10 +457,10 @@ def cmd_bev(cfg: ExperimentConfig, cloud_path, grid_path) -> None:
 
 def cmd_estimate(cfg: ExperimentConfig, grid_path) -> str:
     grid = read_grid(grid_path)
-    return format_token_record(estimate_token(grid, cfg.estimator))
+    return format_token_record(estimate_token(grid, cfg.env.estimator))
 
 
 def cmd_ingest(cfg: ExperimentConfig, cloud_path) -> str:
     cloud = cloud_io.read_cloud(cloud_path)
-    est = estimate_token(project(cloud), cfg.estimator)
+    est = estimate_token(project(cloud), cfg.env.estimator)
     return format_token_record(est)

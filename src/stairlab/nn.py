@@ -222,22 +222,32 @@ def save_mlp(path, net: Mlp) -> None:
 
 
 def load_mlp(path, heads=None) -> Mlp:
+    """Read a checkpoint; a damaged one raises ValueError naming ``path``.
+
+    The header must hold at least two layer sizes, the file must be
+    exactly as long as they imply, and every parameter must be finite.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not an MLP1 checkpoint")
-    (n_sizes,) = struct.unpack_from("<I", raw, 4)
+    n_sizes = struct.unpack_from("<I", raw, 4)[0] if len(raw) >= 8 else 0
+    header = 8 + 4 * n_sizes
+    if n_sizes < 2 or len(raw) < header:
+        raise ValueError(f"{path}: damaged checkpoint header ({len(raw)} bytes)")
     sizes = list(struct.unpack_from(f"<{n_sizes}I", raw, 8))
-    offset = 8 + 4 * n_sizes
+    size = header + 8 * sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+    if len(raw) != size:
+        raise ValueError(f"{path}: checkpoint has {len(raw)} bytes, expected {size}")
+    params = np.frombuffer(raw, dtype="<f8", offset=header)
+    if not np.isfinite(params).all():
+        raise ValueError(f"{path}: checkpoint holds non-finite parameters")
     weights, biases = [], []
+    offset = 0
     for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        w = np.frombuffer(raw, dtype="<f8", count=n_out * n_in, offset=offset).reshape(
-            n_out, n_in
-        )
-        offset += 8 * n_out * n_in
-        b = np.frombuffer(raw, dtype="<f8", count=n_out, offset=offset)
-        offset += 8 * n_out
-        weights.append(w.copy())
-        biases.append(b.copy())
+        weights.append(params[offset : offset + n_out * n_in].reshape(n_out, n_in).copy())
+        offset += n_out * n_in
+        biases.append(params[offset : offset + n_out].copy())
+        offset += n_out
     return Mlp(sizes, weights, biases, heads)
 
 

@@ -66,6 +66,7 @@ class TrainConfig:
     stage3_updates: int = 200
     stage2_epochs: int = 4
     estimator_lr: float = 1e-2
+    loss: TerrainLossWeights = TerrainLossWeights()
 
     def __post_init__(self) -> None:
         for name in ("stage1_updates", "stage2_updates", "stage3_updates"):
@@ -544,7 +545,6 @@ def train_three_stage(
     if train_cfg.stage2_updates > 0:
         envs, samplers = make_ensemble(stage1_cfg, ranges, ppo_cfg.n_envs, seeds[2])
         collect_rng = np.random.default_rng(seeds[3])
-        weights = TerrainLossWeights()
         for update in range(train_cfg.stage2_updates):
             batch = collect(envs, samplers, policy, ppo_cfg, collect_rng, collect_supervision=True)
             loss = estimator_update(
@@ -553,7 +553,7 @@ def train_three_stage(
                 batch.sup_class,
                 batch.sup_h,
                 batch.sup_d,
-                weights,
+                train_cfg.loss,
                 estimator_adam,
                 epochs=train_cfg.stage2_epochs,
             )
@@ -572,6 +572,7 @@ def train_three_stage(
             estimator_net=estimator,
             policy=policy,
             joint=True,
+            weights=train_cfg.loss,
             estimator_adam=estimator_adam,
             stage2_epochs=train_cfg.stage2_epochs,
             update_offset=train_cfg.stage1_updates + train_cfg.stage2_updates,
@@ -615,14 +616,24 @@ def save_policy(directory, policy: GaussianPolicy) -> None:
 
 
 def load_policy(directory) -> GaussianPolicy:
+    """Read a saved policy; damaged or mismatched files raise ValueError naming the path."""
     directory = Path(directory)
     actor = load_mlp(directory / "actor.mlp1", heads={"mean": slice(0, 3)})
     critic = load_mlp(directory / "critic.mlp1")
+    if actor.sizes[-1] != 3 or critic.sizes[-1] != 1 or critic.sizes[0] != actor.sizes[0]:
+        raise ValueError(
+            f"{directory}: actor {actor.sizes} and critic {critic.sizes} do not form a policy"
+        )
+    std_path = directory / "log_std.txt"
+    try:
+        log_std = np.array([float(v) for v in std_path.read_text().split()])
+    except ValueError as exc:
+        raise ValueError(f"{std_path}: non-numeric log-std value") from exc
+    if log_std.shape != (3,) or not np.isfinite(log_std).all():
+        raise ValueError(f"{std_path}: expected 3 finite log-std values")
     policy = GaussianPolicy.__new__(GaussianPolicy)
     policy.obs_dim = actor.sizes[0]
     policy.actor = actor
     policy.critic = critic
-    policy.log_std = np.array(
-        [float(v) for v in (directory / "log_std.txt").read_text().split()]
-    )
+    policy.log_std = log_std
     return policy

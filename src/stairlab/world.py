@@ -182,14 +182,6 @@ class TerrainProfile:
         ahead = ahead[ahead > s]
         return float(ahead[0] - s) if ahead.size else 0.0
 
-    def top_height(self) -> float:
-        """Height of the tread past the final riser."""
-        spec = self.spec
-        if spec.stair_class == StairClass.FLAT:
-            return 0.0
-        sign = 1.0 if spec.stair_class == StairClass.STAIRS_UP else -1.0
-        return sign * spec.h_step * spec.n_steps
-
 
 @dataclass(frozen=True)
 class ParameterRanges:

@@ -79,7 +79,7 @@ def test_criterion_2_noiseless_exactness(tmp_path):
     cfg = default_config()
     cfg = replace(
         cfg,
-        sensor=replace(cfg.sensor, noise_sigma_z=0.0),
+        env=replace(cfg.env, sensor=replace(cfg.env.sensor, noise_sigma_z=0.0)),
         benchmark=replace(cfg.benchmark, n_configs=200),
     )
     summary = cmd_benchmark_estimator(cfg, tmp_path)

@@ -1,5 +1,6 @@
 import csv
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -348,6 +349,51 @@ class TestTrainingCommands:
         assert np.array_equal(policy.log_std, loaded.log_std)
 
 
+SMALL_TRAIN = """
+[run]
+seeds = 1
+
+[ppo]
+n_envs = 4
+horizon = 32
+
+[train]
+stage1_updates = 1
+stage2_updates = 1
+stage3_updates = 1
+"""
+
+
+class TestTrainReadsPerceptionAndLossSettings:
+    """[sensor], [estimator] and [loss] reach the rollouts and updates of `train`."""
+
+    @staticmethod
+    def checkpoints(tmp_path, text):
+        from stairlab.experiments import cmd_train
+
+        cmd_train(parse_config_text(text, base_dir=tmp_path), tmp_path)
+        out = tmp_path / "train"
+        return {
+            name: (out / name).read_bytes()
+            for name in ("estimator.mlp1", "policy/actor.mlp1", "policy/critic.mlp1")
+        }
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            "[loss]\nlambda_h = 0\nlambda_cls = 5\n",
+            "[sensor]\nnoise_sigma_z = 0.08\n",
+            "[estimator]\nriser_threshold = 0.2\n",
+        ],
+        ids=["loss", "sensor", "estimator"],
+    )
+    def test_edit_changes_checkpoints(self, tmp_path, edit):
+        base = self.checkpoints(tmp_path / "base", SMALL_TRAIN)
+        edited = self.checkpoints(tmp_path / "edited", SMALL_TRAIN + edit)
+        assert edited["estimator.mlp1"] != base["estimator.mlp1"]
+        assert edited["policy/actor.mlp1"] != base["policy/actor.mlp1"]
+
+
 class TestTrackSetup:
     def test_trains_on_episode_commands_and_rolls_out_the_schedule(self, tmp_path, monkeypatch):
         from stairlab import experiments
@@ -379,6 +425,38 @@ class TestTrackSetup:
         assert len(err) == 1 and err[0].startswith("error:")
         assert str(tmp_path / "old_policy") in err[0]
         assert not (tmp_path / "out" / "track").exists()
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["six_bytes", "cut_1000", "nan_weight", "log_std_nan", "log_std_text", "log_std_short"],
+    )
+    def test_damaged_checkpoint_names_the_file(self, tmp_path, capsys, monkeypatch, damage):
+        from stairlab.ppo import GaussianPolicy, save_policy
+
+        monkeypatch.delenv("STAIRLAB_OUT", raising=False)
+        policy_dir = tmp_path / "pol"
+        save_policy(policy_dir, GaussianPolicy(13, np.random.default_rng(0)))
+        actor, log_std = policy_dir / "actor.mlp1", policy_dir / "log_std.txt"
+        raw = actor.read_bytes()
+        header = 8 + 4 * 4  # magic, layer count, sizes 13/64/64/3
+        damaged = {
+            "six_bytes": (actor, raw[:6]),
+            "cut_1000": (actor, raw[:1000]),
+            "nan_weight": (actor, raw[:header] + struct.pack("<d", math.nan) + raw[header + 8 :]),
+            "log_std_nan": (log_std, b"nan -1.0 -1.0\n"),
+            "log_std_text": (log_std, b"-1.0 x -1.0\n"),
+            "log_std_short": (log_std, b"-1.0 -1.0\n"),
+        }
+        path, blob = damaged[damage]
+        path.write_bytes(blob)
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(TINY + "\n[track]\npolicy_dir = pol\n")
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "track"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(f"error: {path}: ")
 
 
 @pytest.mark.slow

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -11,11 +10,9 @@ from stairlab.env import (
     ObsMode,
     StepperEnv,
     TokenSource,
-    TRACE_COLUMNS,
     arc_heights,
     max_passable_height,
     metrics,
-    write_trace,
 )
 from stairlab.errors import ConfigError
 from stairlab.estimator import EstimatorConfig, wrap_ahead
@@ -294,17 +291,26 @@ class TestNextRiserDistance:
 
 
 class TestTraceAndMetrics:
-    def test_trace_schema_and_events(self, tmp_path):
+    def test_trace_schema_and_events(self):
         env = StepperEnv(blind_cfg(), seed=1)
         env.reset(FLAT)
         done = False
         while not done:
             _, _, done, _ = env.step(Action(0.3, 0.05, 0.0))
-        path = tmp_path / "trace.csv"
-        write_trace(path, env.trace_rows)
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert tuple(rows[0].keys()) == TRACE_COLUMNS
+        rows = env.trace_rows
+        assert tuple(rows[0].keys()) == (
+            "time",
+            "s",
+            "support_height",
+            "v_cmd",
+            "v_avg",
+            "heading_err",
+            "stride",
+            "clearance",
+            "dheading",
+            "reward",
+            "event",
+        )
         assert rows[-1]["event"] == "success"
         assert all(r["event"] in ("none", "scuff", "edge", "success", "timeout") for r in rows)
 

@@ -22,7 +22,16 @@ from stairlab.estimator import (
     wrap_ahead,
 )
 from stairlab.sensor import PointCloud, SensorModel, dropout, scan
-from stairlab.world import ParameterRanges, StairClass, StairSpec, TerrainProfile, generate_stairs
+from stairlab.world import (
+    MAX_STEP_DEPTH,
+    MAX_STEP_HEIGHT,
+    ParameterRanges,
+    StairClass,
+    StairSpec,
+    TerrainProfile,
+    TerrainToken,
+    generate_stairs,
+)
 
 CFG = EstimatorConfig()
 NOISELESS = SensorModel(noise_sigma_z=0.0)
@@ -275,6 +284,35 @@ class TestEstimateToken:
         assert est.token.stair_class == StairClass.FLAT
         assert est.token.h_step == 0.0 and est.token.d_step == 0.0
         assert est.risers_found == 0
+
+
+class TestPlausibilityGate:
+    @staticmethod
+    def lattice_grid(rise, run, x0):
+        """Noise-free 2 cm lattice over x in [x0, x0 + 3), y in [-1.5, 1.5).
+
+        Heights are z = floor((x - x0) / run) * rise.
+        """
+        x, y = np.meshgrid(x0 + 0.02 * np.arange(150), -1.5 + 0.02 * np.arange(150), indexing="ij")
+        z = np.floor((x - x0) / run) * rise
+        return project(PointCloud(np.column_stack([x.ravel(), y.ravel(), z.ravel()])))
+
+    @pytest.mark.parametrize(
+        "rise,run,x0,risers",
+        [(0.6, 0.4, 0.0, 3), (0.2, 1.2, -1.5, 2)],
+        ids=["too_high", "too_deep"],
+    )
+    def test_steps_beyond_world_caps_fall_back_to_flat(self, rise, run, x0, risers):
+        grid = self.lattice_grid(rise, run, x0)
+        # The detector sees the oversized steps; the gate turns them away.
+        res = analyze_steps(*extract_profile(grid, estimate_yaw(grid, CFG), CFG), CFG)
+        assert res.stair_class == StairClass.STAIRS_UP
+        assert res.h_step > MAX_STEP_HEIGHT or res.d_step > MAX_STEP_DEPTH
+        est = estimate_token(grid, CFG)
+        assert est.token == TerrainToken(StairClass.FLAT, 0.0, 0.0, 0.0)
+        assert est.confidence == 0.0 and est.next_riser == 0.0
+        assert est.risers_found == risers
+        assert format_token_record(est) == f"0 0.0 0.0 0.0 0.0 {risers}"
 
 
 class TestProperties:
