@@ -1,6 +1,6 @@
 """stairlab: stair-geometry perception and geometry-conditioned stepping policies."""
 
-from .bev import BevGrid, cell_index, project, read_grid, write_grid
+from .bev import BevGrid, project, read_grid, write_grid
 from .env import Action, EnvConfig, EpisodeRecord, EvalMetrics, ObsMode, StepperEnv, TokenSource
 from .errors import ConfigError, StairlabError, TrainingError
 from .estimator import EstimatorConfig, TokenEstimate, estimate_token
@@ -46,7 +46,6 @@ __all__ = [
     "TokenSource",
     "TrainConfig",
     "TrainingError",
-    "cell_index",
     "dropout",
     "estimate_token",
     "gae",

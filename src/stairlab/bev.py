@@ -62,15 +62,6 @@ class BevGrid:
             raise ValueError(f"occupancy must be {(GRID_SIZE, GRID_SIZE)}")
 
 
-def cell_index(x: float, y: float) -> tuple[int, int] | None:
-    """Map robot-frame (x, y) to (row, col); None when outside the grid."""
-    row = int(np.floor((x + _HALF) / RESOLUTION))
-    col = int(np.floor((y + _HALF) / RESOLUTION))
-    if 0 <= row < GRID_SIZE and 0 <= col < GRID_SIZE:
-        return row, col
-    return None
-
-
 def cell_centers(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Robot-frame coordinates of cell centers."""
     x = -_HALF + (rows + 0.5) * RESOLUTION

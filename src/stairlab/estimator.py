@@ -9,6 +9,26 @@ The estimator recovers the explicit stair parameters in three steps:
 3. step analysis: threshold successive profile jumps into risers, then
    aggregate median |jump| and median riser spacing.
 
+The yaw search scores candidate axes coarse to fine. The coarse pass
+scores every fifth candidate (19 of the 91 at the default config); the
+fine pass scores the candidates within 4 of the coarse best, 27 in all.
+The result stands only when one basin stands out:
+
+- the best coarse score is below half of every coarse score at least two
+  coarse steps away;
+- the fine scores fall to their lowest and then rise, never turning back;
+- the lowest score found is below half of both neighbouring coarse scores;
+- both lows lie above rounding noise (a noise-free grid can score zero at
+  several separate axes, and the tie among them goes to the axis closest
+  to zero, wherever it lies).
+
+Otherwise (flat ground, where all axes score alike; a rough or
+flat-bottomed basin; a zero score), and whenever the parabolic
+refinement needs a neighbour that was not scored, every candidate is
+scored. Each score reads the same table row either way, so the chosen
+axis equals the full search's whenever the accepted basin holds the
+global minimum.
+
 Reported theta is the robot heading relative to the terrain direction,
 i.e. the negative of the estimated ascent-axis angle in the robot frame.
 """
@@ -24,6 +44,15 @@ import numpy as np
 from .bev import CH_MEAN, GRID_SIZE, BevGrid, cell_centers, key_value_order
 from .errors import ConfigError
 from .world import MAX_STEP_DEPTH, MAX_STEP_HEIGHT, StairClass, TerrainToken, wrap_pi
+
+# Coarse-to-fine yaw search: the coarse pass scores every COARSE_STRIDE-th
+# candidate axis, the fine pass those within FINE_RADIUS of the coarse best,
+# and BASIN_RATIO sets when that basin stands out (module docstring). Scores
+# below SCORE_FLOOR times the largest squared cell height are rounding noise.
+COARSE_STRIDE = 5
+FINE_RADIUS = 4
+BASIN_RATIO = 0.5
+SCORE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,15 +131,15 @@ def _bin_table(
     return table
 
 
-def _alignment_scores(grid: BevGrid, cfg: EstimatorConfig) -> np.ndarray:
-    """Mean within-bin variance of cell heights for each candidate axis."""
+def _alignment_scores(grid: BevGrid, cfg: EstimatorConfig, rows: np.ndarray) -> np.ndarray:
+    """Mean within-bin variance of cell heights along the candidate axes ``rows``."""
     table = _bin_table(tuple(cfg.yaw_range_deg), cfg.yaw_pitch_deg, cfg.profile_bin)
     cells = np.flatnonzero(grid.occupancy)
     z = grid.data[CH_MEAN].ravel()[cells]
     zz = z * z
-    scores = np.empty(table.shape[0])
-    for i, row in enumerate(table):
-        bins = row[cells]
+    scores = np.empty(rows.shape[0])
+    for i, row in enumerate(rows):
+        bins = table[row, cells]
         counts = np.bincount(bins)
         sums = np.bincount(bins, weights=z)
         sumsq = np.bincount(bins, weights=zz)
@@ -122,24 +151,68 @@ def _alignment_scores(grid: BevGrid, cfg: EstimatorConfig) -> np.ndarray:
     return scores
 
 
+def _lowest(angles: np.ndarray, scores: np.ndarray, rows: np.ndarray) -> int:
+    """Row of the lowest score among ``rows``; exact ties go to the angle closest to zero."""
+    s = scores[rows]
+    tied = rows[s == s.min()]
+    return int(tied[np.lexsort((angles[tied], np.abs(angles[tied])))[0]])
+
+
+def _stands_out(low: float, walls: np.ndarray, floor: float) -> bool:
+    """Whether ``low`` is above the rounding-noise ``floor`` and below BASIN_RATIO of each wall."""
+    return bool(floor < low and np.all(low < BASIN_RATIO * walls))
+
+
+def _one_basin(s: np.ndarray) -> bool:
+    """Whether ``s`` falls to its lowest value and rises after it, never turning back."""
+    d = np.diff(s)
+    j = int(np.argmin(s))
+    return bool(np.all(d[:j] <= 0.0) and np.all(d[j:] >= 0.0))
+
+
 def estimate_yaw(grid: BevGrid, cfg: EstimatorConfig) -> float:
     """Ascent-axis direction in the robot frame, radians.
 
-    Coarse grid search refined by parabolic interpolation around the
-    minimum. Exact score ties resolve to the candidate closest to zero;
-    degenerate grids (below the occupancy gate) return 0.
+    Coarse-to-fine search over the candidate axes (see the module
+    docstring), refined by parabolic interpolation around the minimum.
+    Exact score ties resolve to the candidate closest to zero; degenerate
+    grids (below the occupancy gate) return 0.
     """
     if grid.occupancy.mean() < cfg.min_occupancy:
         return 0.0
     angles = _candidate_angles(cfg.yaw_range_deg, cfg.yaw_pitch_deg)
-    scores = _alignment_scores(grid, cfg)
+    n = angles.shape[0]
+    scores = np.empty(n)
+    scored = np.zeros(n, dtype=bool)
 
-    best = scores.min()
-    tied = np.flatnonzero(scores == best)
-    k = int(tied[np.lexsort((angles[tied], np.abs(angles[tied])))[0]])
+    def score(rows: np.ndarray) -> None:
+        rows = rows[~scored[rows]]
+        scores[rows] = _alignment_scores(grid, cfg, rows)
+        scored[rows] = True
+
+    coarse = np.arange(0, n, COARSE_STRIDE)
+    score(coarse)
+    c = _lowest(angles, scores, coarse)
+    steps = np.abs(coarse - c) // COARSE_STRIDE
+    z = grid.data[CH_MEAN][grid.occupancy]
+    floor = SCORE_FLOOR * float(np.max(z * z, initial=0.0))
+    k = None
+    if (steps >= 2).any() and _stands_out(scores[c], scores[coarse[steps >= 2]], floor):
+        fine = np.arange(max(c - FINE_RADIUS, 0), min(c + FINE_RADIUS + 1, n))
+        score(fine)
+        k = _lowest(angles, scores, np.flatnonzero(scored))
+        # A rough or flat-bottomed basin can dip again past the fine window.
+        near = scores[coarse[steps == 1]]
+        if not (_one_basin(scores[fine]) and _stands_out(scores[k], near, floor)):
+            k = None
+    if k is None or (0 < k < n - 1 and not (scored[k - 1] and scored[k + 1])):
+        # No basin stands out, or the refinement needs an unscored neighbour
+        # (possible only when FINE_RADIUS < COARSE_STRIDE - 1).
+        score(np.arange(n))
+        k = _lowest(angles, scores, np.arange(n))
 
     phi = angles[k]
-    if 0 < k < angles.shape[0] - 1:
+    if 0 < k < n - 1:
         s_prev, s_mid, s_next = scores[k - 1], scores[k], scores[k + 1]
         denom = s_prev - 2.0 * s_mid + s_next
         if denom > 0.0:

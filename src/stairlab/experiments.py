@@ -18,7 +18,7 @@ import numpy as np
 from . import cloud_io
 from .bev import project, read_grid, write_grid
 from .config import ExperimentConfig, canonical_text, config_hash
-from .env import OBS_DIM, EnvConfig, ObsMode, StepperEnv, max_passable_height, metrics
+from .env import OBS_DIM, EnvConfig, ObsMode, StepperEnv, TokenSource, max_passable_height, metrics
 from .errors import ConfigError
 from .estimator import TokenEstimate, estimate_token, format_token_record
 from .nn import save_mlp
@@ -198,6 +198,7 @@ def cmd_benchmark_estimator(cfg: ExperimentConfig, out_root: Path) -> dict:
         "n_configs": cfg.benchmark.n_configs,
         "noise_sigma_z": cfg.env.sensor.noise_sigma_z,
         "dropout": cfg.benchmark.dropout,
+        "sensor_dropout": cfg.env.sensor.dropout_rate,
         "mae_h_m": float(np.mean(h_errs)),
         "mae_d_m": float(np.mean(d_errs)),
         "mae_theta_deg": float(np.degrees(np.mean(t_errs))),
@@ -264,6 +265,15 @@ SUMMARY_COLUMNS = (
 )
 
 
+def _reject_learned_tokens(cfg: ExperimentConfig, command: str) -> None:
+    """Fail before any work: ``command`` builds no estimator net for learned tokens."""
+    if cfg.env.token_source == TokenSource.LEARNED:
+        raise ConfigError(
+            f"{command}: [env] token_source = learned needs the estimator net that only "
+            "`train` builds; use ground_truth or analytic"
+        )
+
+
 def _mean_std(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
@@ -273,6 +283,7 @@ def _mean_std(values) -> tuple[float, float]:
 
 def cmd_ablation(cfg: ExperimentConfig, out_root: Path) -> dict:
     """Train all observation modes with identical budgets; emit curves + table."""
+    _reject_learned_tokens(cfg, "ablation")
     out = out_root / "ablation"
     per_seed_rows = []
     summary_rows = []
@@ -351,6 +362,7 @@ def cmd_ablation(cfg: ExperimentConfig, out_root: Path) -> dict:
 
 def cmd_generalize(cfg: ExperimentConfig, out_root: Path) -> list[dict]:
     """Train on the configured heights, evaluate across the full sweep."""
+    _reject_learned_tokens(cfg, "generalize")
     out = out_root / "generalize"
     train_ranges = replace(cfg.world, h_choices=cfg.generalize.train_heights)
 
@@ -392,6 +404,7 @@ def cmd_track(cfg: ExperimentConfig, out_root: Path) -> list[dict]:
     The policy trains on per-episode commands drawn from the env's
     ``v_cmd_range``; the schedule applies only to the tracking rollout.
     """
+    _reject_learned_tokens(cfg, "track")
     out = out_root / "track"
     seed = cfg.run.seeds[0]
     train_cfg = replace(cfg.env, obs_mode=ObsMode.TOKEN)

@@ -51,10 +51,6 @@ class Mlp:
             biases.append(np.zeros(n_out))
         return cls(sizes, weights, biases, heads)
 
-    @property
-    def n_params(self) -> int:
-        return sum((n_in + 1) * n_out for n_in, n_out in zip(self.sizes[:-1], self.sizes[1:]))
-
     def forward(self, x: np.ndarray):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.sizes[0]:

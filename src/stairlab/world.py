@@ -15,7 +15,7 @@ World conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -92,32 +92,6 @@ class StairSpec:
             f"origin_y = {self.origin_y!r}",
         ]
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "StairSpec":
-        values: dict[str, str] = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"malformed spec line: {raw!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            values[key] = val
-        try:
-            return cls(
-                stair_class=StairClass(int(values["class"])),
-                h_step=float(values["h_step"]),
-                d_step=float(values["d_step"]),
-                stair_yaw=float(values["stair_yaw"]),
-                n_steps=int(values["n_steps"]),
-                lead_flat=float(values["lead_flat"]),
-                tail_flat=float(values["tail_flat"]),
-                origin_x=float(values["origin_x"]),
-                origin_y=float(values["origin_y"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"spec text missing key {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -222,11 +196,6 @@ class ParameterRanges:
                 raise ConfigError("h_choices must be non-empty when given")
             if min(self.h_choices) <= 0 or max(self.h_choices) > MAX_STEP_HEIGHT:
                 raise ConfigError("h_choices outside generation caps")
-
-    def with_class(self, stair_class: StairClass) -> "ParameterRanges":
-        weights = [0.0, 0.0, 0.0]
-        weights[int(stair_class)] = 1.0
-        return replace(self, class_weights=tuple(weights))
 
 
 def _as_rng(seed) -> np.random.Generator:

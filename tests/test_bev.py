@@ -14,7 +14,6 @@ from stairlab.bev import (
     N_CHANNELS,
     RESOLUTION,
     BevGrid,
-    cell_index,
     key_value_order,
     project,
     read_grid,
@@ -22,6 +21,8 @@ from stairlab.bev import (
 )
 from stairlab.sensor import PointCloud, SensorModel, dropout, scan
 from stairlab.world import ParameterRanges, StairClass, StairSpec, TerrainProfile, generate_stairs
+
+from helpers import with_class
 
 
 def cloud_of(points) -> PointCloud:
@@ -67,6 +68,12 @@ def assert_bits_equal(a: BevGrid, b: BevGrid) -> None:
     """Equal grids down to the bit, so -0.0 and +0.0 differ."""
     assert a.data.tobytes() == b.data.tobytes()
     assert np.array_equal(a.occupancy, b.occupancy)
+
+
+def cell_index(x: float, y: float) -> tuple[int, int] | None:
+    """The (row, col) that ``project`` fills for one point at (x, y); None when none."""
+    cells = np.argwhere(project(cloud_of([[x, y, 0.0]])).occupancy)
+    return tuple(int(v) for v in cells[0]) if len(cells) else None
 
 
 class TestCellIndex:
@@ -188,7 +195,7 @@ class TestLexsortOracle:
     @pytest.mark.parametrize("stair_class", list(StairClass), ids=lambda c: c.name.lower())
     def test_seeded_scans_bit_identical(self, stair_class, occlusion):
         rng = np.random.default_rng(int(stair_class) + 10 * occlusion + 41)
-        ranges = ParameterRanges(h_step=(0.08, 0.25), stair_yaw=(-0.5, 0.5)).with_class(stair_class)
+        ranges = with_class(ParameterRanges(h_step=(0.08, 0.25), stair_yaw=(-0.5, 0.5)), stair_class)
         for noise in (0.0, 0.01, 0.05):
             profile = TerrainProfile(generate_stairs(rng, ranges))
             pose = (rng.uniform(-1.0, 0.5), rng.uniform(-0.3, 0.3), rng.uniform(-math.pi, math.pi))

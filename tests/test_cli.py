@@ -231,7 +231,7 @@ class TestBenchmarkCommand:
         assert 0.0 <= summary["class_accuracy"] <= 1.0
         rows = read_rows(tmp_path / "benchmark_estimator.csv")
         assert set(rows[0]) == {
-            "n_configs", "noise_sigma_z", "dropout", "mae_h_m", "mae_d_m",
+            "n_configs", "noise_sigma_z", "dropout", "sensor_dropout", "mae_h_m", "mae_d_m",
             "mae_theta_deg", "class_accuracy",
         }
         details = read_rows(tmp_path / "benchmark_estimator_details.csv")
@@ -246,6 +246,15 @@ class TestBenchmarkCommand:
         degraded = cmd_benchmark_estimator(noisy_cfg, tmp_path / "noisy")
         assert degraded["class_accuracy"] <= clean["class_accuracy"]
         assert degraded["mae_h_m"] >= clean["mae_h_m"]
+
+    def test_reports_both_dropout_owners(self, tmp_path):
+        # [sensor] dropout thins each scan, [benchmark] dropout the cloud after it.
+        text = TINY.replace("[sensor]\n", "[sensor]\ndropout = 0.5\n") + "[benchmark]\nn_configs = 5\n"
+        cfg = parse_config_text(text, base_dir=tmp_path)
+        summary = cmd_benchmark_estimator(cfg, tmp_path)
+        assert (summary["dropout"], summary["sensor_dropout"]) == (0.0, 0.5)
+        row = read_rows(tmp_path / "benchmark_estimator.csv")[0]
+        assert (float(row["dropout"]), float(row["sensor_dropout"])) == (0.0, 0.5)
 
     def test_gen_cli_deterministic(self, tmp_path, monkeypatch):
         monkeypatch.delenv("STAIRLAB_OUT", raising=False)
@@ -362,6 +371,30 @@ stage1_updates = 1
 stage2_updates = 1
 stage3_updates = 1
 """
+
+
+class TestLearnedTokensRejected:
+    """Commands that train without an estimator net refuse learned tokens up front."""
+
+    @pytest.mark.parametrize("command", ["ablation", "generalize", "track"])
+    def test_one_error_line_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        from stairlab import experiments
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before rejecting the config")
+
+        monkeypatch.setattr(experiments, "train_policy", no_training)
+        monkeypatch.delenv("STAIRLAB_OUT", raising=False)
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(TINY_TRAIN.replace("[env]\n", "[env]\ntoken_source = learned\n"))
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), command])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {command}: [env] token_source = learned "
+                                             "needs the estimator net that only `train` builds; "
+                                             "use ground_truth or analytic"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrainReadsPerceptionAndLossSettings:

@@ -33,6 +33,8 @@ from stairlab.world import (
     generate_stairs,
 )
 
+from helpers import with_class
+
 CFG = EstimatorConfig()
 NOISELESS = SensorModel(noise_sigma_z=0.0)
 
@@ -73,6 +75,37 @@ def loop_alignment_scores(grid, cfg):
     return scores
 
 
+def full_search_yaw(grid, cfg):
+    """Oracle: score all candidate axes, then the lowest score and its parabola."""
+    if grid.occupancy.mean() < cfg.min_occupancy:
+        return 0.0
+    angles = _candidate_angles(cfg.yaw_range_deg, cfg.yaw_pitch_deg)
+    scores = loop_alignment_scores(grid, cfg)
+    tied = np.flatnonzero(scores == scores.min())
+    k = int(tied[np.lexsort((angles[tied], np.abs(angles[tied])))[0]])
+    phi = angles[k]
+    if 0 < k < angles.shape[0] - 1:
+        s_prev, s_mid, s_next = scores[k - 1], scores[k], scores[k + 1]
+        denom = s_prev - 2.0 * s_mid + s_next
+        if denom > 0.0:
+            offset = 0.5 * (s_prev - s_next) / denom
+            phi += float(np.clip(offset, -1.0, 1.0)) * math.radians(cfg.yaw_pitch_deg)
+    return float(phi)
+
+
+def scored_rows(monkeypatch):
+    """Record the candidate rows each ``_alignment_scores`` call scores."""
+    calls = []
+    real = estimator._alignment_scores
+
+    def spy(grid, cfg, rows):
+        calls.append(rows.copy())
+        return real(grid, cfg, rows)
+
+    monkeypatch.setattr(estimator, "_alignment_scores", spy)
+    return calls
+
+
 def lexsort_profile(grid, yaw, cfg):
     """Oracle: ``extract_profile`` sorted by one ``np.lexsort`` over (bin, z)."""
     if not grid.occupancy.any():
@@ -97,18 +130,33 @@ ORACLE_CONFIGS = [
 
 @pytest.fixture(scope="module")
 def oracle_grids():
-    """Seeded scans of every class, with noise, occlusion and dropout, plus
-    sparse grids just below and just above the default occupancy gate."""
+    """Seeded scans of every class, with noise, occlusion and dropout; flat
+    ground; single-riser windows; stairs whose axis lies past the ±45° edge
+    of the yaw range; and sparse grids just below and just above the default
+    occupancy gate."""
     rng = np.random.default_rng(2024)
     grids = []
     for stair_class in StairClass:
-        ranges = ParameterRanges(h_step=(0.08, 0.25), stair_yaw=(-0.6, 0.6)).with_class(stair_class)
+        ranges = with_class(ParameterRanges(h_step=(0.08, 0.25), stair_yaw=(-0.6, 0.6)), stair_class)
         for noise, occlusion in ((0.0, False), (0.01, True), (0.05, False)):
             profile = TerrainProfile(generate_stairs(rng, ranges))
             pose = (rng.uniform(-1.0, 0.5), rng.uniform(-0.3, 0.3), rng.uniform(-0.5, 0.5))
             cloud = scan(profile, pose, SensorModel(noise_sigma_z=noise, occlusion=occlusion), rng)
             grids.append(project(cloud))
             grids.append(project(dropout(cloud, 0.9, rng)))
+    for noise in (0.0, 0.01, 0.05):
+        grids.append(flat_grid(noise=noise, seed=int(rng.integers(1 << 30))))
+    for stair_class in (StairClass.STAIRS_UP, StairClass.STAIRS_DOWN):
+        for noise, heading_deg in ((0.0, 0.0), (0.01, -12.0), (0.05, 30.0)):
+            grids.append(make_grid(stair_class, n=1, robot_heading=math.radians(heading_deg),
+                                   noise=noise, seed=int(rng.integers(1 << 30))))
+        for heading_deg in (-80.0, -52.0, 47.0, 65.0):
+            grids.append(make_grid(stair_class, h=0.15, robot_heading=math.radians(heading_deg),
+                                   noise=0.01, seed=int(rng.integers(1 << 30))))
+    # Noise-free, two risers seen from past the top: at 1 cm bins the score
+    # landscape is rough, and its minimum lies outside the coarse basin.
+    spec = StairSpec(StairClass.STAIRS_DOWN, 0.27, 0.37, -0.36, 2, 1.0, 0.8)
+    grids.append(project(scan(TerrainProfile(spec), (2.18, -0.76, -2.93), NOISELESS, 0)))
     gate = int(CFG.min_occupancy * GRID_SIZE * GRID_SIZE)
     for n_cells in (gate - 1, gate + 1):
         cells = rng.choice(GRID_SIZE * GRID_SIZE, n_cells, replace=False)
@@ -121,10 +169,29 @@ def oracle_grids():
 class TestTableOracle:
     def test_scores_bit_identical_to_loop(self, oracle_grids):
         # All configs in one process: each gets its own cached table.
+        rng = np.random.default_rng(8)
         for grid in oracle_grids:
             for cfg in ORACLE_CONFIGS:
-                fast = _alignment_scores(grid, cfg)
-                assert fast.tobytes() == loop_alignment_scores(grid, cfg).tobytes()
+                oracle = loop_alignment_scores(grid, cfg)
+                every = np.arange(oracle.shape[0])
+                assert _alignment_scores(grid, cfg, every).tobytes() == oracle.tobytes()
+                some = rng.permutation(every)[:7]
+                assert _alignment_scores(grid, cfg, some).tobytes() == oracle[some].tobytes()
+
+    def test_yaw_bit_identical_to_full_search(self, oracle_grids, monkeypatch):
+        calls = scored_rows(monkeypatch)
+        paths = {"coarse_to_fine": 0, "full": 0, "gated": 0}
+        for grid in oracle_grids:
+            for cfg in ORACLE_CONFIGS:
+                calls.clear()
+                assert estimate_yaw(grid, cfg).hex() == full_search_yaw(grid, cfg).hex()
+                n_rows = sum(rows.size for rows in calls)
+                n_candidates = len(_candidate_angles(cfg.yaw_range_deg, cfg.yaw_pitch_deg))
+                paths["gated" if n_rows == 0 else "full" if n_rows == n_candidates
+                      else "coarse_to_fine"] += 1
+        # The corpus takes every path: the occupancy gate, the coarse-to-fine
+        # search and the fallback to the full search.
+        assert min(paths.values()) > 0, paths
 
     def test_profile_bit_identical_to_lexsort(self, oracle_grids):
         rng = np.random.default_rng(5)
@@ -145,7 +212,7 @@ class TestTableOracle:
             return out
 
         fast = records()
-        monkeypatch.setattr(estimator, "_alignment_scores", loop_alignment_scores)
+        monkeypatch.setattr(estimator, "estimate_yaw", full_search_yaw)
         monkeypatch.setattr(estimator, "extract_profile", lexsort_profile)
         assert fast == records()
         assert any(r.split()[0] != "0" for r in fast)
@@ -163,6 +230,78 @@ class TestTableOracle:
         assert table.min() == 0
         assert not table.flags.writeable
         assert _bin_table(*key) is table
+
+
+class TestCoarseToFineSearch:
+    N_CANDIDATES = 91
+
+    def test_clean_flight_scores_27_rows(self, monkeypatch):
+        calls = scored_rows(monkeypatch)
+        grid = make_grid(robot_heading=math.radians(-7.0), noise=0.01)
+        assert estimate_yaw(grid, CFG).hex() == full_search_yaw(grid, CFG).hex()
+        rows = np.concatenate(calls)
+        assert rows.size == np.unique(rows).size == 27
+        assert np.array_equal(calls[0], np.arange(0, self.N_CANDIDATES, estimator.COARSE_STRIDE))
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01], ids=["noise_free", "noisy"])
+    def test_flat_grid_takes_full_search(self, monkeypatch, noise):
+        grid = flat_grid(noise=noise, seed=3)
+        if noise == 0.0:
+            assert not loop_alignment_scores(grid, CFG).any()
+        calls = scored_rows(monkeypatch)
+        assert estimate_yaw(grid, CFG).hex() == full_search_yaw(grid, CFG).hex()
+        rows = np.sort(np.concatenate(calls))
+        assert np.array_equal(rows, np.arange(self.N_CANDIDATES))
+
+    def test_unscored_neighbour_takes_full_search(self, monkeypatch):
+        calls = scored_rows(monkeypatch)
+        grid = make_grid(robot_heading=math.radians(-2.0), noise=0.01)
+        estimate_yaw(grid, CFG)
+        assert sum(rows.size for rows in calls) == 27
+        # With a one-row fine window the lowest scored row sits at the
+        # window's edge, next to the unscored best two rows off the coarse best.
+        monkeypatch.setattr(estimator, "FINE_RADIUS", 1)
+        calls.clear()
+        assert estimate_yaw(grid, CFG).hex() == full_search_yaw(grid, CFG).hex()
+        assert sum(rows.size for rows in calls) == self.N_CANDIDATES
+
+    def test_range_without_far_coarse_rows_takes_full_search(self, monkeypatch):
+        cfg = EstimatorConfig(yaw_range_deg=(-4.0, 4.0))
+        calls = scored_rows(monkeypatch)
+        grid = make_grid(robot_heading=math.radians(-2.0), noise=0.01)
+        assert estimate_yaw(grid, cfg).hex() == full_search_yaw(grid, cfg).hex()
+        assert sum(rows.size for rows in calls) == 9
+
+    @pytest.mark.parametrize(
+        "overrides,best",
+        [
+            # A second basin, its coarse row under twice the best, hides the minimum.
+            ({**{r: 2e-5 for r in range(61, 70)}, 65: 1e-5, 20: 1.5e-5, 22: 5e-6}, 22),
+            # Zero (noise-free) lows: the coarse basin at 16-24 deg ties a lone
+            # zero at 2 deg, which the full search's tie-break prefers.
+            ({**{r: 0.0 for r in range(61, 70)}, 47: 0.0}, 47),
+            # A rough fine window (a bump at row 63) hides a lower basin outside.
+            ({**{r: 2e-5 for r in range(61, 70)}, 63: 5e-4, 65: 1e-5, 58: 5e-6}, 58),
+            # A flat bottom runs past the neighbouring coarse row 70 and dips at 72.
+            ({**{r: 2e-5 for r in range(61, 70)}, 65: 1e-5, 70: 1.5e-5, 72: 5e-6}, 72),
+        ],
+        ids=["second_basin", "zero_low", "rough_window", "flat_bottom"],
+    )
+    def test_untrusted_basin_takes_full_search(self, monkeypatch, overrides, best):
+        """Synthetic landscapes (1e-3 away from the overrides) whose minimum lies
+        outside the fine window: each trips one rule and takes the full search."""
+        landscape = np.full(self.N_CANDIDATES, 1e-3)
+        landscape[list(overrides)] = list(overrides.values())
+        calls = []
+
+        def synthetic(grid, cfg, rows):
+            calls.append(rows)
+            return landscape[rows]
+
+        monkeypatch.setattr(estimator, "_alignment_scores", synthetic)
+        angles = _candidate_angles(CFG.yaw_range_deg, CFG.yaw_pitch_deg)
+        assert estimate_yaw(make_grid(), CFG) == angles[best]
+        assert sum(rows.size for rows in calls) == self.N_CANDIDATES
 
 
 class TestEstimateYaw:

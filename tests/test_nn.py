@@ -108,7 +108,8 @@ class TestMlpForward:
 
     def test_param_count(self):
         net = Mlp.create([10, 16, 4], np.random.default_rng(2))
-        assert net.n_params == (10 + 1) * 16 + (16 + 1) * 4
+        n_params = sum(w.size + b.size for w, b in zip(net.weights, net.biases))
+        assert n_params == (10 + 1) * 16 + (16 + 1) * 4
 
     def test_init_bounds(self):
         net = Mlp.create([50, 20], np.random.default_rng(3))

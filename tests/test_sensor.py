@@ -8,6 +8,8 @@ from stairlab.errors import ConfigError
 from stairlab.sensor import PointCloud, SensorModel, _line_of_sight_mask, dropout, scan
 from stairlab.world import ParameterRanges, StairClass, StairSpec, TerrainProfile, generate_stairs
 
+from helpers import with_class
+
 
 def flat_profile():
     return TerrainProfile(StairSpec(StairClass.FLAT, 0.0, 0.0, 0.0, 1, 1.0, 1.0))
@@ -174,7 +176,7 @@ class TestExactLineOfSight:
         # Every point a 2 mm march calls occluded is occluded, and the
         # exact test drops at least as many points as the march.
         rng = np.random.default_rng(int(stair_class) + 31)
-        ranges = ParameterRanges(h_step=(0.14, 0.2), n_steps=(8, 10)).with_class(stair_class)
+        ranges = with_class(ParameterRanges(h_step=(0.14, 0.2), n_steps=(8, 10)), stair_class)
         dropped_total = 0
         for i in range(3):
             profile = TerrainProfile(generate_stairs(rng, ranges))

