@@ -10,10 +10,19 @@ Observation modes expose increasing amounts of terrain information:
 proprioception only (blind), a forward height scan, or the explicit
 terrain token (from the privileged teacher or an estimator) followed by
 the along-axis distance to the next riser ahead.
+
+A step makes no numpy call on scalar data. Heights, the edge test and
+the next-riser distance use ``math.floor``/``ceil`` and ``min``/``max`` on
+the same IEEE operations as ``TerrainProfile.height_on_axis`` and
+``riser_positions``, so every observation, reward and trace row is bit for
+bit what the array queries give. The swing arc's samples are the one
+array: a cached ``linspace`` per sample count, with the terrain under it
+computed in place.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -75,18 +84,6 @@ class Action:
     stride: float
     clearance: float
     dheading: float
-
-    @classmethod
-    def from_array(cls, a) -> "Action":
-        a = np.asarray(a, dtype=float).reshape(3)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-    def clamped(self) -> "Action":
-        return Action(
-            min(max(self.stride, STRIDE_BOUNDS[0]), STRIDE_BOUNDS[1]),
-            min(max(self.clearance, CLEARANCE_BOUNDS[0]), CLEARANCE_BOUNDS[1]),
-            min(max(self.dheading, DHEADING_BOUNDS[0]), DHEADING_BOUNDS[1]),
-        )
 
 
 @dataclass(frozen=True)
@@ -171,6 +168,20 @@ def arc_heights(z0: float, z1: float, clearance: float, u: np.ndarray) -> np.nda
     return apex - coeff * du * du
 
 
+_HEIGHTSCAN_OFFSETS = HEIGHTSCAN_SPACING * np.arange(1, HEIGHTSCAN_SAMPLES + 1)
+
+# TerrainToken.as_vector's class one-hot, indexed by class.
+_ONE_HOT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+@functools.lru_cache(maxsize=64)
+def _arc_samples(n: int) -> np.ndarray:
+    """``np.linspace(0, 1, n + 1)``, read-only; strides within bounds need n <= 50."""
+    u = np.linspace(0.0, 1.0, n + 1)
+    u.flags.writeable = False
+    return u
+
+
 class StepperEnv:
     """Single stepper instance; owns its RNG, deterministic per seed."""
 
@@ -188,27 +199,27 @@ class StepperEnv:
             raise ConfigError("lead_flat must be >= 0.3 m to place the stepper")
         self.spec = spec
         self.profile = TerrainProfile(spec)
-        self._risers = self.profile.riser_positions()
-        self._axis_yaw = spec.stair_yaw if spec.stair_class != StairClass.FLAT else 0.0
+        flat = spec.stair_class == StairClass.FLAT
+        self._flat = flat
+        self._up = spec.stair_class == StairClass.STAIRS_UP
+        self._h = float(spec.h_step)
+        self._d = float(spec.d_step)
+        self._n_risers = 0 if flat else spec.n_steps
+        self._axis_yaw = 0.0 if flat else spec.stair_yaw
+        self._axis_cos = math.cos(self._axis_yaw)
+        self._axis_sin = math.sin(self._axis_yaw)
 
         self.s = -spec.lead_flat / 2.0
         self.lat = 0.0
-        self.support_height = float(self.profile.height_on_axis(self.s))
-        if spec.stair_class == StairClass.FLAT:
-            self.heading_err = 0.0
-        else:
-            self.heading_err = wrap_pi(0.0 - spec.stair_yaw)
+        self.support_height = self._height(self.s)
+        self.heading_err = 0.0 if flat else wrap_pi(0.0 - spec.stair_yaw)
         self.v_avg = 0.0
         self.last_dh = 0.0
-        self.prev_action = Action(0.0, 0.0, 0.0)
+        self.prev_action = (0.0, 0.0, 0.0)
         self.t = 0
         self.step_count = 0
         self.done = False
-        self._goal_s = (
-            self.s + self.cfg.flat_goal
-            if spec.stair_class == StairClass.FLAT
-            else float(self._risers[-1])
-        )
+        self._goal_s = self.s + self.cfg.flat_goal if flat else self._d * (self._n_risers - 1)
         if self.cfg.command_schedule is None:
             lo, hi = self.cfg.v_cmd_range
             self._episode_cmd = float(self._rng.uniform(lo, hi))
@@ -216,6 +227,7 @@ class StepperEnv:
         self._sum_abs_verr = 0.0
         self._sum_abs_heading = 0.0
         self._return = 0.0
+        self._last_event = "none"
         self._token_cache: TerrainToken | None = None
         self._token_cache_t = -1
         self._riser_cache = 0.0
@@ -236,12 +248,66 @@ class StepperEnv:
                 v = value
         return float(v)
 
+    # -- terrain queries on one along-axis position ------------------------
+
+    def _height(self, s: float) -> float:
+        """``profile.height_on_axis(s)`` on a float."""
+        if self._flat:
+            return 0.0
+        q = s / self._d
+        if self._up:
+            return self._h * min(max(math.floor(q) + 1.0, 0.0), self._n_risers)
+        # np.ceil keeps the sign of a zero result (ceil(-0.5) is -0.0), and
+        # np.clip, like max(), keeps a -0.0 at the lower bound 0.
+        return -self._h * min(max(math.copysign(math.ceil(q), q), 0.0), self._n_risers)
+
+    def _riser_ahead(self, s: float) -> int:
+        """Index k of the first riser strictly ahead of ``s``; the riser count past the last.
+
+        Riser k lies at ``d * k``, the product ``riser_positions`` forms, so
+        the strict test agrees with ``riser_positions() > s`` at every
+        boundary. Call only on stairs.
+        """
+        d, n = self._d, self._n_risers
+        k = min(max(math.floor(s / d) + 1, 0), n)
+        while k > 0 and d * (k - 1) > s:
+            k -= 1
+        while k < n and d * k <= s:
+            k += 1
+        return k
+
+    def _next_riser(self, s: float) -> float:
+        """``profile.next_riser_distance(s)`` on a float."""
+        n = self._n_risers
+        k = self._riser_ahead(s) if n else 0
+        return self._d * k - s if k < n else 0.0
+
+    def _arc_terrain(self, s: float, ds: float, u: np.ndarray) -> np.ndarray:
+        """``height_on_axis(s + u * ds) - _SCUFF_EPS``, in place on one array.
+
+        The clip bounds may give a zero the other sign than np.clip does;
+        the scuff check only compares these heights. Call only on stairs.
+        """
+        x = u * ds
+        x += s
+        x /= self._d
+        if self._up:
+            np.floor(x, out=x)
+            x += 1.0
+        else:
+            np.ceil(x, out=x)
+        np.maximum(x, 0.0, out=x)
+        np.minimum(x, self._n_risers, out=x)
+        x *= self._h if self._up else -self._h
+        x -= _SCUFF_EPS
+        return x
+
     # -- pose helpers ------------------------------------------------------
 
     @property
     def world_pose(self) -> tuple[float, float, float]:
         spec = self.spec
-        ca, sa = math.cos(self._axis_yaw), math.sin(self._axis_yaw)
+        ca, sa = self._axis_cos, self._axis_sin
         px = spec.origin_x + self.s * ca - self.lat * sa
         py = spec.origin_y + self.s * sa + self.lat * ca
         return px, py, wrap_pi(self._axis_yaw + self.heading_err)
@@ -251,50 +317,68 @@ class StepperEnv:
     def step(self, action) -> tuple[np.ndarray, float, bool, dict]:
         """Advance one decision; returns (obs, reward, done, info).
 
-        Failure modes: the swing arc sampling below terrain (scuff) and
-        landing within the edge margin of a riser line. Both terminate
-        with the terminal penalty; crossing the goal line terminates with
-        the terminal bonus.
+        ``action`` is an ``Action`` or three numbers (stride, clearance,
+        dheading); each is clamped to its bounds. Failure modes: the swing
+        arc sampling below terrain (scuff) and landing within the edge
+        margin of a riser line. Both terminate with the terminal penalty;
+        crossing the goal line terminates with the terminal bonus.
         """
         if self.done:
             raise RuntimeError("step() called on a finished episode; call reset()")
-        act = (action if isinstance(action, Action) else Action.from_array(action)).clamped()
+        if isinstance(action, Action):
+            stride, clearance, dheading = action.stride, action.clearance, action.dheading
+        else:
+            stride, clearance, dheading = np.asarray(action, dtype=float).reshape(3).tolist()
+        stride = min(max(stride, STRIDE_BOUNDS[0]), STRIDE_BOUNDS[1])
+        clearance = min(max(clearance, CLEARANCE_BOUNDS[0]), CLEARANCE_BOUNDS[1])
+        dheading = min(max(dheading, DHEADING_BOUNDS[0]), DHEADING_BOUNDS[1])
+        cfg = self.cfg
 
-        he_new = wrap_pi(self.heading_err - act.dheading)
-        ds = act.stride * math.cos(he_new)
-        s_new = self.s + ds
+        he_new = wrap_pi(self.heading_err - dheading)
+        ds = stride * math.cos(he_new)
+        s = self.s
+        s_new = s + ds
         z0 = self.support_height
-        z1 = float(self.profile.height_on_axis(s_new))
+        z1 = self._height(s_new)
 
-        n_samples = max(2, int(math.ceil(abs(ds) / ARC_SAMPLE_PITCH)))
-        u = np.linspace(0.0, 1.0, n_samples + 1)
-        foot = arc_heights(z0, z1, act.clearance, u)
-        terrain = self.profile.height_on_axis(self.s + u * ds)
-        scuffed = bool(np.any(foot < terrain - _SCUFF_EPS))
+        u = _arc_samples(max(2, int(math.ceil(abs(ds) / ARC_SAMPLE_PITCH))))
+        foot = arc_heights(z0, z1, clearance, u)
+        if z0 == z1:
+            # The terrain is monotone along the arc, so it is z1 under all of it.
+            scuffed = bool(foot.min() < z1 - _SCUFF_EPS)
+        else:
+            scuffed = bool((foot < self._arc_terrain(s, ds, u)).any())
 
         on_edge = False
-        if not scuffed and self._risers.size:
-            on_edge = bool(np.min(np.abs(s_new - self._risers)) < self.cfg.edge_margin)
+        n = self._n_risers
+        if not scuffed and n:
+            # The nearest riser is the last one behind s_new or the first ahead.
+            d = self._d
+            k = self._riser_ahead(s_new)
+            gap = abs(s_new - d * (k - 1)) if k > 0 else math.inf
+            if k < n:
+                gap = min(gap, abs(s_new - d * k))
+            on_edge = gap < cfg.edge_margin
 
         # State advances even on a terminal step so the trace shows it.
         self.s = s_new
-        self.lat += act.stride * math.sin(he_new)
+        self.lat += stride * math.sin(he_new)
         self.heading_err = he_new
         self.last_dh = z1 - z0
         self.support_height = z1
-        v_inst = ds / self.cfg.step_dt
-        alpha = self.cfg.v_avg_alpha
+        v_inst = ds / cfg.step_dt
+        alpha = cfg.v_avg_alpha
         self.v_avg = (1.0 - alpha) * self.v_avg + alpha * v_inst
         self.step_count += 1
-        self.prev_action = act
+        self.prev_action = (stride, clearance, dheading)
 
-        w = self.cfg.reward
+        w = cfg.reward
         v_cmd_used = self.v_cmd
         verr = (self.v_avg - self.v_cmd) / w.tracking_scale
         reward = (
             w.velocity * math.exp(-verr * verr)
             + w.forward * ds
-            - w.clearance * act.clearance
+            - w.clearance * clearance
             - w.heading * abs(he_new)
         )
 
@@ -319,10 +403,11 @@ class StepperEnv:
         self._return += reward
 
         self.t += 1
-        if not self.done and self.t >= self.cfg.horizon:
+        if not self.done and self.t >= cfg.horizon:
             event = "timeout"
             self.done = True
         self.v_cmd = self._command_at(self.t)
+        self._last_event = event
 
         self.trace_rows.append(
             {
@@ -332,27 +417,26 @@ class StepperEnv:
                 "v_cmd": v_cmd_used,
                 "v_avg": self.v_avg,
                 "heading_err": self.heading_err,
-                "stride": act.stride,
-                "clearance": act.clearance,
-                "dheading": act.dheading,
+                "stride": stride,
+                "clearance": clearance,
+                "dheading": dheading,
                 "reward": reward,
                 "event": event,
             }
         )
 
-        obs = self.observe() if not self.done else np.zeros(OBS_DIM[self.cfg.obs_mode])
+        obs = self.observe() if not self.done else np.zeros(OBS_DIM[cfg.obs_mode])
         self.last_obs = obs
         info = {"event": event, "success": success, "s": self.s}
         return obs, reward, self.done, info
 
     def episode_record(self) -> EpisodeRecord:
         n = max(1, self.step_count)
-        last_event = self.trace_rows[-1]["event"] if self.trace_rows else "none"
         return EpisodeRecord(
             length=self.step_count,
             return_=self._return,
-            success=last_event == "success",
-            event=last_event,
+            success=self._last_event == "success",
+            event=self._last_event,
             stair_class=self.spec.stair_class,
             h_step=self.spec.h_step,
             d_step=self.spec.d_step,
@@ -363,29 +447,19 @@ class StepperEnv:
     # -- observations ------------------------------------------------------
 
     def observe(self) -> np.ndarray:
-        blind = np.array(
-            [
-                self.last_dh,
-                self.v_avg,
-                self.v_cmd,
-                self.prev_action.stride,
-                self.prev_action.clearance,
-                self.prev_action.dheading,
-            ]
-        )
+        row = [self.last_dh, self.v_avg, self.v_cmd, *self.prev_action]
         mode = self.cfg.obs_mode
         if mode == ObsMode.BLIND:
-            return blind
+            return np.array(row)
         if mode == ObsMode.HEIGHTSCAN:
-            ahead = self.s + HEIGHTSCAN_SPACING * np.arange(1, HEIGHTSCAN_SAMPLES + 1) * math.cos(
-                self.heading_err
-            )
+            ahead = self.s + _HEIGHTSCAN_OFFSETS * math.cos(self.heading_err)
             heights = self.profile.height_on_axis(ahead) - self.support_height
             if self.cfg.heightscan_noise > 0.0:
                 heights = heights + self._rng.normal(0.0, self.cfg.heightscan_noise, heights.shape)
-            return np.concatenate([blind, heights])
+            return np.array(row + heights.tolist())
         token, next_riser = self._token()
-        return np.concatenate([blind, token.as_vector(), [next_riser]])
+        cls = _ONE_HOT[token.stair_class]
+        return np.array(row + [*cls, token.h_step, token.d_step, token.theta, next_riser])
 
     def _token(self) -> tuple[TerrainToken, float]:
         """Terrain token and the along-axis distance to the next riser ahead.
@@ -397,9 +471,9 @@ class StepperEnv:
         """
         cfg = self.cfg
         if cfg.token_source == TokenSource.GROUND_TRUTH:
-            token = ground_truth_token(self.spec, self.world_pose[2], self.world_pose[:2])
-            token = self._perturb_token(token)
-            next_riser = self.profile.next_riser_distance(self.s)
+            px, py, heading = self.world_pose
+            token = self._perturb_token(ground_truth_token(self.spec, heading, (px, py)))
+            next_riser = self._next_riser(self.s)
         else:
             token = self._estimated_token()
             next_riser = self._riser_cache
@@ -461,7 +535,8 @@ class StepperEnv:
         if self._features_cache_t != self.t or self._features_cache is None:
             self._features_cache = pool_bev(self._sense_grid())
             self._features_cache_t = self.t
-        gt = ground_truth_token(self.spec, self.world_pose[2], self.world_pose[:2])
+        px, py, heading = self.world_pose
+        gt = ground_truth_token(self.spec, heading, (px, py))
         return self._features_cache, int(gt.stair_class), gt.h_step, gt.d_step
 
 

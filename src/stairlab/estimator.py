@@ -170,15 +170,21 @@ def _one_basin(s: np.ndarray) -> bool:
     return bool(np.all(d[:j] <= 0.0) and np.all(d[j:] >= 0.0))
 
 
+def _below_gate(grid: BevGrid, cfg: EstimatorConfig) -> bool:
+    """Whether too few cells are occupied to estimate from; an empty grid always is."""
+    occupancy = grid.occupancy.mean()
+    return occupancy < cfg.min_occupancy or occupancy == 0.0
+
+
 def estimate_yaw(grid: BevGrid, cfg: EstimatorConfig) -> float:
     """Ascent-axis direction in the robot frame, radians.
 
     Coarse-to-fine search over the candidate axes (see the module
     docstring), refined by parabolic interpolation around the minimum.
     Exact score ties resolve to the candidate closest to zero; degenerate
-    grids (below the occupancy gate) return 0.
+    grids (below the occupancy gate, or empty) return 0.
     """
-    if grid.occupancy.mean() < cfg.min_occupancy:
+    if _below_gate(grid, cfg):
         return 0.0
     angles = _candidate_angles(cfg.yaw_range_deg, cfg.yaw_pitch_deg)
     n = angles.shape[0]
@@ -362,7 +368,7 @@ def riser_ahead_on_axis(grid: BevGrid, yaw: float, cfg: EstimatorConfig) -> floa
 def estimate_token(grid: BevGrid, cfg: EstimatorConfig | None = None) -> TokenEstimate:
     """Full pipeline: yaw, profile, step analysis, confidence."""
     cfg = cfg or EstimatorConfig()
-    if grid.occupancy.mean() < cfg.min_occupancy:
+    if _below_gate(grid, cfg):
         return TokenEstimate(TerrainToken(StairClass.FLAT, 0.0, 0.0, 0.0), 0.0, 0)
 
     yaw = estimate_yaw(grid, cfg)

@@ -201,6 +201,18 @@ class TestSingleFileCommands:
         assert main(["ingest", str(tmp_path / "absent.xyz")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_ingest_empty_grid_at_zero_occupancy_gate(self, tmp_path, capsys):
+        # The one point falls outside the grid, so no cell is occupied; with
+        # min_occupancy = 0 the empty grid must still fall below the gate.
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text("[estimator]\nmin_occupancy = 0\n")
+        cloud = tmp_path / "out.xyz"
+        cloud.write_text("5 5 0\n")
+        assert main(["--config", str(cfg_path), "ingest", str(cloud)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "0 0.0 0.0 0.0 0.0 0\n"
+
     @pytest.mark.parametrize("h,d", [(0.17, 0.30), (0.15, 0.28)])
     def test_ingest_standard_staircases(self, tmp_path, capsys, h, d):
         # Synthetic stand-ins for surveyed staircases with known geometry:

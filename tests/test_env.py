@@ -1,9 +1,19 @@
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from stairlab.env import (
+    ARC_SAMPLE_PITCH,
+    CLEARANCE_BOUNDS,
+    DHEADING_BOUNDS,
+    HEIGHTSCAN_SAMPLES,
+    HEIGHTSCAN_SPACING,
+    OBS_DIM,
+    STRIDE_BOUNDS,
+    _SCUFF_EPS,
     Action,
     EnvConfig,
     EpisodeRecord,
@@ -17,7 +27,14 @@ from stairlab.env import (
 from stairlab.errors import ConfigError
 from stairlab.estimator import EstimatorConfig, wrap_ahead
 from stairlab.sensor import SensorModel
-from stairlab.world import StairClass, StairSpec, ground_truth_token
+from stairlab.world import (
+    StairClass,
+    StairSpec,
+    TerrainProfile,
+    TerrainToken,
+    ground_truth_token,
+    wrap_pi,
+)
 
 FLAT = StairSpec(StairClass.FLAT, 0.0, 0.0, 0.0, 1, 1.0, 1.0)
 
@@ -364,3 +381,443 @@ class TestCommandSchedule:
             seen.append(env.trace_rows[-1]["v_cmd"])
         assert seen[:3] == [0.2, 0.2, 0.2]
         assert seen[3:] == [0.4, 0.4, 0.4]
+
+
+# -- the scalar stepper core against the array math it replaced -------------
+
+
+def _clamped(action) -> Action:
+    """Oracle action handling: any input becomes a clamped ``Action``."""
+    if not isinstance(action, Action):
+        a = np.asarray(action, dtype=float).reshape(3)
+        action = Action(float(a[0]), float(a[1]), float(a[2]))
+    return Action(
+        min(max(action.stride, STRIDE_BOUNDS[0]), STRIDE_BOUNDS[1]),
+        min(max(action.clearance, CLEARANCE_BOUNDS[0]), CLEARANCE_BOUNDS[1]),
+        min(max(action.dheading, DHEADING_BOUNDS[0]), DHEADING_BOUNDS[1]),
+    )
+
+
+class FrozenStepper(StepperEnv):
+    """Oracle: the stepper's reset, step and observation math on numpy queries.
+
+    Heights come from ``TerrainProfile.height_on_axis``, risers from
+    ``riser_positions``, the arc from a fresh ``np.linspace``, actions are
+    ``Action`` objects and the last event is read from the trace. Token
+    estimation, sensing and the command schedule are inherited.
+    """
+
+    def reset(self, spec):
+        if spec.lead_flat < 0.3:
+            raise ConfigError("lead_flat must be >= 0.3 m to place the stepper")
+        self.spec = spec
+        self.profile = TerrainProfile(spec)
+        self._risers = self.profile.riser_positions()
+        self._axis_yaw = spec.stair_yaw if spec.stair_class != StairClass.FLAT else 0.0
+        self.s = -spec.lead_flat / 2.0
+        self.lat = 0.0
+        self.support_height = float(self.profile.height_on_axis(self.s))
+        if spec.stair_class == StairClass.FLAT:
+            self.heading_err = 0.0
+        else:
+            self.heading_err = wrap_pi(0.0 - spec.stair_yaw)
+        self.v_avg = 0.0
+        self.last_dh = 0.0
+        self.prev_action = Action(0.0, 0.0, 0.0)
+        self.t = 0
+        self.step_count = 0
+        self.done = False
+        self._goal_s = (
+            self.s + self.cfg.flat_goal
+            if spec.stair_class == StairClass.FLAT
+            else float(self._risers[-1])
+        )
+        if self.cfg.command_schedule is None:
+            lo, hi = self.cfg.v_cmd_range
+            self._episode_cmd = float(self._rng.uniform(lo, hi))
+        self.v_cmd = self._command_at(0)
+        self._sum_abs_verr = 0.0
+        self._sum_abs_heading = 0.0
+        self._return = 0.0
+        self._token_cache = None
+        self._token_cache_t = -1
+        self._riser_cache = 0.0
+        self._riser_cache_s = self.s
+        self._features_cache = None
+        self._features_cache_t = -1
+        self.trace_rows = []
+        self.last_obs = self.observe()
+        return self.last_obs
+
+    @property
+    def world_pose(self):
+        spec = self.spec
+        ca, sa = math.cos(self._axis_yaw), math.sin(self._axis_yaw)
+        px = spec.origin_x + self.s * ca - self.lat * sa
+        py = spec.origin_y + self.s * sa + self.lat * ca
+        return px, py, wrap_pi(self._axis_yaw + self.heading_err)
+
+    def step(self, action):
+        if self.done:
+            raise RuntimeError("step() called on a finished episode; call reset()")
+        act = _clamped(action)
+        he_new = wrap_pi(self.heading_err - act.dheading)
+        ds = act.stride * math.cos(he_new)
+        s_new = self.s + ds
+        z0 = self.support_height
+        z1 = float(self.profile.height_on_axis(s_new))
+
+        n_samples = max(2, int(math.ceil(abs(ds) / ARC_SAMPLE_PITCH)))
+        u = np.linspace(0.0, 1.0, n_samples + 1)
+        foot = arc_heights(z0, z1, act.clearance, u)
+        terrain = self.profile.height_on_axis(self.s + u * ds)
+        scuffed = bool(np.any(foot < terrain - _SCUFF_EPS))
+
+        on_edge = False
+        if not scuffed and self._risers.size:
+            on_edge = bool(np.min(np.abs(s_new - self._risers)) < self.cfg.edge_margin)
+
+        self.s = s_new
+        self.lat += act.stride * math.sin(he_new)
+        self.heading_err = he_new
+        self.last_dh = z1 - z0
+        self.support_height = z1
+        v_inst = ds / self.cfg.step_dt
+        alpha = self.cfg.v_avg_alpha
+        self.v_avg = (1.0 - alpha) * self.v_avg + alpha * v_inst
+        self.step_count += 1
+        self.prev_action = act
+
+        w = self.cfg.reward
+        v_cmd_used = self.v_cmd
+        verr = (self.v_avg - self.v_cmd) / w.tracking_scale
+        reward = (
+            w.velocity * math.exp(-verr * verr)
+            + w.forward * ds
+            - w.clearance * act.clearance
+            - w.heading * abs(he_new)
+        )
+
+        event = "none"
+        success = False
+        if scuffed:
+            event = "scuff"
+            reward -= w.terminal_bonus
+            self.done = True
+        elif on_edge:
+            event = "edge"
+            reward -= w.terminal_bonus
+            self.done = True
+        elif s_new > self._goal_s:
+            event = "success"
+            reward += w.terminal_bonus
+            success = True
+            self.done = True
+
+        self._sum_abs_verr += abs(self.v_avg - self.v_cmd)
+        self._sum_abs_heading += abs(self.heading_err)
+        self._return += reward
+
+        self.t += 1
+        if not self.done and self.t >= self.cfg.horizon:
+            event = "timeout"
+            self.done = True
+        self.v_cmd = self._command_at(self.t)
+
+        self.trace_rows.append(
+            {
+                "time": self.t - 1,
+                "s": self.s,
+                "support_height": self.support_height,
+                "v_cmd": v_cmd_used,
+                "v_avg": self.v_avg,
+                "heading_err": self.heading_err,
+                "stride": act.stride,
+                "clearance": act.clearance,
+                "dheading": act.dheading,
+                "reward": reward,
+                "event": event,
+            }
+        )
+
+        obs = self.observe() if not self.done else np.zeros(OBS_DIM[self.cfg.obs_mode])
+        self.last_obs = obs
+        info = {"event": event, "success": success, "s": self.s}
+        return obs, reward, self.done, info
+
+    def episode_record(self):
+        n = max(1, self.step_count)
+        last_event = self.trace_rows[-1]["event"] if self.trace_rows else "none"
+        return EpisodeRecord(
+            length=self.step_count,
+            return_=self._return,
+            success=last_event == "success",
+            event=last_event,
+            stair_class=self.spec.stair_class,
+            h_step=self.spec.h_step,
+            d_step=self.spec.d_step,
+            mean_abs_verr=self._sum_abs_verr / n,
+            mean_abs_heading=self._sum_abs_heading / n,
+        )
+
+    def observe(self):
+        blind = np.array(
+            [
+                self.last_dh,
+                self.v_avg,
+                self.v_cmd,
+                self.prev_action.stride,
+                self.prev_action.clearance,
+                self.prev_action.dheading,
+            ]
+        )
+        mode = self.cfg.obs_mode
+        if mode == ObsMode.BLIND:
+            return blind
+        if mode == ObsMode.HEIGHTSCAN:
+            ahead = self.s + HEIGHTSCAN_SPACING * np.arange(1, HEIGHTSCAN_SAMPLES + 1) * math.cos(
+                self.heading_err
+            )
+            heights = self.profile.height_on_axis(ahead) - self.support_height
+            if self.cfg.heightscan_noise > 0.0:
+                heights = heights + self._rng.normal(0.0, self.cfg.heightscan_noise, heights.shape)
+            return np.concatenate([blind, heights])
+        token, next_riser = self._token()
+        vec = np.zeros(6)
+        vec[int(token.stair_class)] = 1.0
+        vec[3] = token.h_step
+        vec[4] = token.d_step
+        vec[5] = token.theta
+        return np.concatenate([blind, vec, [next_riser]])
+
+    def _token(self):
+        cfg = self.cfg
+        if cfg.token_source == TokenSource.GROUND_TRUTH:
+            token = ground_truth_token(self.spec, self.world_pose[2], self.world_pose[:2])
+            token = self._perturb_token(token)
+            next_riser = self.profile.next_riser_distance(self.s)
+        else:
+            token = self._estimated_token()
+            next_riser = self._riser_cache
+            if next_riser > 0.0:
+                next_riser = wrap_ahead(next_riser - (self.s - self._riser_cache_s), token.d_step)
+        return token, 0.0 if token.stair_class == StairClass.FLAT else next_riser
+
+    def _perturb_token(self, token):
+        cfg = self.cfg
+        if cfg.token_noise_h == 0.0 and cfg.token_noise_d == 0.0 and cfg.token_flip_p == 0.0:
+            return token
+        h, d, cls = token.h_step, token.d_step, token.stair_class
+        if token.stair_class != StairClass.FLAT:
+            if cfg.token_noise_h > 0.0:
+                h = max(0.0, h + float(self._rng.normal(0.0, cfg.token_noise_h)))
+            if cfg.token_noise_d > 0.0:
+                d = max(0.0, d + float(self._rng.normal(0.0, cfg.token_noise_d)))
+        if cfg.token_flip_p > 0.0 and self._rng.random() < cfg.token_flip_p:
+            others = [c for c in StairClass if c != cls]
+            cls = others[int(self._rng.integers(len(others)))]
+            if cls == StairClass.FLAT:
+                h = d = 0.0
+        return TerrainToken(cls, h, d, token.theta)
+
+
+def _key(value):
+    """A comparison key that tells apart every bit, the sign of zero and the type."""
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return (type(value).__name__, struct.pack("<d", value))
+    if isinstance(value, dict):
+        return ("dict", tuple((k, _key(v)) for k, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, tuple(_key(v) for v in value))
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__, _key(dataclasses.astuple(value)))
+    return (type(value).__name__, value)
+
+
+ORACLE_SPECS = [
+    StairSpec(StairClass.FLAT, 0.0, 0.0, 0.0, 1, 1.0, 1.0),
+    StairSpec(StairClass.FLAT, 0.0, 0.0, 0.6, 3, 0.6, 0.5, origin_x=-1.3, origin_y=2.1),
+    StairSpec(StairClass.STAIRS_UP, 0.12, 0.30, 0.0, 8, 0.3, 1.0),
+    StairSpec(StairClass.STAIRS_UP, 0.17, 0.27, math.radians(40.0), 7, 1.0, 0.8, 0.9, -0.4),
+    StairSpec(StairClass.STAIRS_UP, 0.15, 0.25, math.radians(-40.0), 9, 0.6, 0.8, -2.0, 1.5),
+    StairSpec(StairClass.STAIRS_DOWN, 0.14, 0.31, 0.0, 6, 1.0, 0.8),
+    StairSpec(StairClass.STAIRS_DOWN, 0.20, 0.29, math.radians(-33.0), 8, 0.8, 0.8, 3.2, 0.7),
+    StairSpec(StairClass.STAIRS_DOWN, 0.11, 0.25, math.radians(25.0), 9, 0.3, 0.8, -0.5, -0.5),
+    # Axis behind the start heading: cos(heading error) < 0, so strides move backwards.
+    StairSpec(StairClass.STAIRS_UP, 0.13, 0.28, 2.3, 6, 1.0, 0.8, 0.4, 0.4),
+    StairSpec(StairClass.STAIRS_DOWN, 0.13, 0.33, -2.9, 6, 1.0, 0.8),
+]
+
+ORACLE_ENV_CFGS = [
+    EnvConfig(obs_mode=ObsMode.BLIND, horizon=40),
+    EnvConfig(obs_mode=ObsMode.HEIGHTSCAN, horizon=40),
+    EnvConfig(obs_mode=ObsMode.HEIGHTSCAN, horizon=40, heightscan_noise=0.01),
+    EnvConfig(obs_mode=ObsMode.TOKEN, horizon=40),
+    EnvConfig(
+        obs_mode=ObsMode.TOKEN, horizon=40, token_noise_h=0.01, token_noise_d=0.02,
+        token_flip_p=0.3, command_schedule=((0, 0.2), (5, 0.35)),
+    ),
+    EnvConfig(obs_mode=ObsMode.TOKEN, horizon=25, token_flip_p=1.0, edge_margin=0.05),
+]
+
+
+def _oracle_actions(rng, n):
+    """Arrays, ``Action``s, lists and (1, 3) arrays, often outside the action bounds."""
+    out = []
+    for i in range(n):
+        a = [rng.uniform(-0.2, 0.8), rng.uniform(-0.1, 0.45), rng.uniform(-0.2, 0.2)]
+        form = i % 4
+        out.append(
+            np.array(a) if form == 0 else Action(*a) if form == 1
+            else list(a) if form == 2 else np.array([a])
+        )
+    return out
+
+
+def _assert_same_rollout(cfg, spec, actions, seed):
+    """Drive the live env and the oracle with the same inputs; compare every output."""
+    live, frozen = StepperEnv(cfg, seed), FrozenStepper(cfg, seed)
+    events, backwards = [], False
+    assert _key(live.reset(spec)) == _key(frozen.reset(spec))
+    for action in actions:
+        s_before = frozen.s
+        got, want = live.step(action), frozen.step(action)
+        assert _key(got) == _key(want)
+        assert _key(live.trace_rows) == _key(frozen.trace_rows)
+        assert _key(live.episode_record()) == _key(frozen.episode_record())
+        assert _key(live.world_pose) == _key(frozen.world_pose)
+        backwards |= frozen.s < s_before
+        if want[2]:
+            events.append(want[3]["event"])
+            assert _key(live.reset(spec)) == _key(frozen.reset(spec))
+    return events, backwards
+
+
+class TestScalarCoreOracle:
+    def test_rollouts_bit_identical_to_array_math(self):
+        rng = np.random.default_rng(11)
+        events, backwards = set(), False
+        for cfg in ORACLE_ENV_CFGS:
+            for j, spec in enumerate(ORACLE_SPECS):
+                actions = _oracle_actions(rng, 60)
+                seen, back = _assert_same_rollout(cfg, spec, actions, seed=100 + j)
+                events.update(seen)
+                backwards |= back
+        # The corpus ends episodes every way and walks backwards at least once.
+        assert events == {"scuff", "edge", "success", "timeout"}
+        assert backwards
+
+    def test_policy_like_rollouts_bit_identical(self):
+        # In-bounds strides near the tread depth reach deep into each flight.
+        rng = np.random.default_rng(12)
+        for cfg in ORACLE_ENV_CFGS:
+            for j, spec in enumerate(ORACLE_SPECS[2:8]):
+                d = spec.d_step
+                actions = [
+                    np.array([d + rng.normal(0.0, 0.01), spec.h_step + 0.08, rng.normal(0.0, 0.03)])
+                    for _ in range(30)
+                ]
+                _assert_same_rollout(cfg, spec, actions, seed=200 + j)
+
+    def test_analytic_tokens_bit_identical(self):
+        cfg = EnvConfig(
+            obs_mode=ObsMode.TOKEN, token_source=TokenSource.ANALYTIC, token_refresh=3, horizon=8
+        )
+        actions = [np.array([0.29, 0.25, 0.01])] * 8
+        _assert_same_rollout(cfg, ORACLE_SPECS[3], actions, seed=7)
+
+    @pytest.mark.parametrize("mode", list(ObsMode))
+    def test_landing_on_a_riser_and_at_the_edge_margin(self, mode):
+        # s starts at -0.3 on a flight with d = 0.25; cos(0) = 1 exactly.
+        spec = StairSpec(StairClass.STAIRS_UP, 0.12, 0.25, 0.0, 6, 0.6, 1.0)
+        on_riser = -0.3 + 0.3
+        assert on_riser == 0.0
+        gap = (-0.3 + 0.32) - 0.0
+        cases = [
+            (0.3, 0.02, "edge"),  # lands exactly on riser 0
+            (0.32, gap, "none"),  # |s - riser| == edge_margin is not on the edge
+            (0.32, math.nextafter(gap, 1.0), "edge"),
+        ]
+        for stride, margin, event in cases:
+            cfg = EnvConfig(obs_mode=mode, edge_margin=margin)
+            _assert_same_rollout(cfg, spec, [Action(stride, 0.25, 0.0)], seed=3)
+            env = StepperEnv(cfg, seed=3)
+            env.reset(spec)
+            assert env.step(Action(stride, 0.25, 0.0))[3]["event"] == event
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# Depths where s / d misplaces a riser by one: 0.35 * 3 / 0.35 < 3, and the
+# float below 0.253 * 5, divided by 0.253, rounds up to 5.
+BOUNDARY_SPECS = [
+    StairSpec(StairClass.STAIRS_UP, 0.13, 0.35, 0.3, 8, 1.0, 0.8, 1.1, -0.6),
+    StairSpec(StairClass.STAIRS_UP, 0.1, 0.253, 0.0, 9, 1.0, 0.8),
+    StairSpec(StairClass.STAIRS_DOWN, 0.17, 0.289, -0.2, 9, 1.0, 0.8),
+    StairSpec(StairClass.STAIRS_DOWN, 0.1, 0.3, 0.0, 9, 1.0, 0.8),
+    StairSpec(StairClass.FLAT, 0.0, 0.0, 0.0, 4, 1.0, 0.8),
+]
+
+
+def _spec_id(spec):
+    return f"{spec.stair_class.name}-{spec.d_step}"
+
+
+def _boundary_positions(spec):
+    """Each riser position, one ulp either side, zeros of both signs, and points off the flight."""
+    d = spec.d_step if spec.d_step > 0.0 else 0.3
+    risers = d * np.arange(spec.n_steps + 1, dtype=float)
+    out = [-0.0, 0.0, -d, -0.5 * d, -1e-300, 1e-300, 10.0, -10.0]
+    for r in risers.tolist():
+        out += [r, math.nextafter(r, -math.inf), math.nextafter(r, math.inf), r + 0.5 * d]
+    return out
+
+
+class TestScalarTerrainQueries:
+    def test_corpus_misplaces_risers_both_ways(self):
+        # Dividing by d alone would put some riser on the wrong side of s.
+        below = above = 0
+        for spec in BOUNDARY_SPECS[:4]:
+            d = spec.d_step
+            for k, r in enumerate(TerrainProfile(spec).riser_positions().tolist()):
+                below += math.floor(r / d) < k
+                above += math.floor(math.nextafter(r, -math.inf) / d) >= k
+        assert below and above
+
+    @pytest.mark.parametrize("spec", BOUNDARY_SPECS, ids=_spec_id)
+    def test_height_matches_height_on_axis_bit_for_bit(self, spec):
+        env = StepperEnv(blind_cfg(), seed=0)
+        env.reset(spec)
+        for s in _boundary_positions(spec):
+            assert _bits(env._height(s)) == _bits(env.profile.height_on_axis(s)), s
+
+    @pytest.mark.parametrize("spec", BOUNDARY_SPECS, ids=_spec_id)
+    def test_next_riser_matches_riser_positions(self, spec):
+        env = StepperEnv(blind_cfg(), seed=0)
+        env.reset(spec)
+        for s in _boundary_positions(spec):
+            assert _bits(env._next_riser(s)) == _bits(env.profile.next_riser_distance(s)), s
+
+    @pytest.mark.parametrize("spec", BOUNDARY_SPECS[:4], ids=_spec_id)
+    def test_riser_at_foot_is_not_ahead(self, spec):
+        # The query asks for risers strictly ahead: from s == k * d it returns riser k + 1.
+        env = StepperEnv(blind_cfg(), seed=0)
+        env.reset(spec)
+        risers = env.profile.riser_positions()
+        for k, r in enumerate(risers.tolist()):
+            want = risers[k + 1] - r if k + 1 < risers.size else 0.0
+            assert _bits(env._next_riser(r)) == _bits(float(want))
+
+    @pytest.mark.parametrize("spec", BOUNDARY_SPECS[:4], ids=_spec_id)
+    def test_arc_terrain_matches_height_on_axis(self, spec):
+        env = StepperEnv(blind_cfg(), seed=0)
+        env.reset(spec)
+        u = np.linspace(0.0, 1.0, 31)
+        for s in _boundary_positions(spec):
+            for ds in (0.3, -0.3, 0.0):
+                want = env.profile.height_on_axis(s + u * ds) - _SCUFF_EPS
+                assert np.array_equal(env._arc_terrain(s, ds, u), want)

@@ -413,6 +413,17 @@ class TestEstimateToken:
         assert est.confidence == 0.0
         assert est.risers_found == 0
 
+    def test_empty_grid_below_a_zero_gate(self):
+        # min_occupancy = 0 lets every grid with one occupied cell through,
+        # but an empty grid has nothing to score.
+        cfg = EstimatorConfig(min_occupancy=0.0)
+        grid = project(PointCloud(np.array([[5.0, 5.0, 0.0]])))
+        assert not grid.occupancy.any()
+        assert estimate_yaw(grid, cfg) == 0.0
+        est = estimate_token(grid, cfg)
+        assert est.token == TerrainToken(StairClass.FLAT, 0.0, 0.0, 0.0)
+        assert est.confidence == 0.0 and est.risers_found == 0
+
     def test_theta_sign_convention(self):
         # Robot turned +8 deg relative to the stair axis: theta reports +8.
         est = estimate_token(make_grid(robot_heading=math.radians(8.0), h=0.16, d=0.3), CFG)
