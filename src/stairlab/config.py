@@ -74,7 +74,6 @@ class TrackConfig:
     d_step: float = 0.30
     n_steps: int = 400
     policy_dir: str = ""
-    steady_bound: float = 0.15
 
 
 @dataclass(frozen=True)

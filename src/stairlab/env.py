@@ -142,7 +142,6 @@ class EpisodeRecord:
 class EvalMetrics:
     e_vel: float
     e_ang: float
-    m_terrain: float
     m_reward: float
     success_rate: float
 
@@ -556,11 +555,5 @@ def metrics(records: list[EpisodeRecord], horizon: int) -> EvalMetrics:
     e_ang = float(np.mean([r.mean_abs_heading for r in records]))
     m_reward = float(np.mean([r.return_ / horizon for r in records]))
     rate = float(np.mean([r.success for r in records]))
-
-    heights = np.round([r.h_step for r in records], 6)
-    rates = [
-        (float(h), np.mean([r.success for r, hh in zip(records, heights) if hh == h]))
-        for h in np.unique(heights)
-    ]
-    return EvalMetrics(e_vel, e_ang, max_passable_height(rates), m_reward, rate)
+    return EvalMetrics(e_vel, e_ang, m_reward, rate)
 

@@ -231,38 +231,32 @@ def _updates_to_threshold(curves: list[dict], threshold: float, window: int) -> 
     return float("inf")
 
 
-def _terrain_sweep(
+def _pinned_success(
     policy: GaussianPolicy,
     env_cfg: EnvConfig,
     world: ParameterRanges,
     heights,
     episodes: int,
     seed: int,
-) -> float:
-    """M_terrain of ``policy`` over flights pinned at each of ``heights``."""
+    stream: int,
+) -> list[float]:
+    """Success rate of ``policy`` on flights pinned at each of ``heights``.
+
+    Height j evaluates on eval stream ``stream + j`` of ``seed``.
+    """
     rates = []
     for j, h in enumerate(heights):
         ranges = replace(world, h_step=(h, h), h_choices=None)
-        records = evaluate_policy(policy, env_cfg, ranges, episodes, _eval_seed(seed, 100 + j))
-        rates.append((h, np.mean([r.success for r in records])))
-    return max_passable_height(rates)
+        records = evaluate_policy(policy, env_cfg, ranges, episodes, _eval_seed(seed, stream + j))
+        rates.append(float(np.mean([r.success for r in records])))
+    return rates
 
 
 _ABLATION_MODES = (ObsMode.BLIND, ObsMode.HEIGHTSCAN, ObsMode.TOKEN)
 
-SUMMARY_COLUMNS = (
-    "mode",
-    "E_vel_mean",
-    "E_vel_std",
-    "E_ang_mean",
-    "E_ang_std",
-    "M_terrain_mean",
-    "M_terrain_std",
-    "M_reward_mean",
-    "M_reward_std",
-    "success_mean",
-    "success_std",
-)
+# Per-seed metrics of the ablation; the summary holds the mean and std of each.
+_ABLATION_METRICS = ("E_vel", "E_ang", "M_terrain", "M_reward", "success")
+SUMMARY_COLUMNS = ("mode", *(f"{m}_{s}" for m in _ABLATION_METRICS for s in ("mean", "std")))
 
 
 def _reject_learned_tokens(cfg: ExperimentConfig, command: str) -> None:
@@ -300,13 +294,9 @@ def cmd_ablation(cfg: ExperimentConfig, out_root: Path) -> dict:
                 res.policy, env_cfg, cfg.world, cfg.ablation.eval_episodes, _eval_seed(seed, 0)
             )
             base = metrics(records, cfg.env.horizon)
-            m_terrain = _terrain_sweep(
-                res.policy,
-                env_cfg,
-                cfg.world,
-                cfg.ablation.terrain_heights,
-                cfg.ablation.terrain_episodes,
-                seed,
+            heights = cfg.ablation.terrain_heights
+            rates = _pinned_success(
+                res.policy, env_cfg, cfg.world, heights, cfg.ablation.terrain_episodes, seed, 100
             )
             crossing = _updates_to_threshold(
                 res.curves, cfg.ablation.success_threshold, cfg.ablation.success_window
@@ -316,7 +306,7 @@ def cmd_ablation(cfg: ExperimentConfig, out_root: Path) -> dict:
                 "seed": seed,
                 "E_vel": base.e_vel,
                 "E_ang": base.e_ang,
-                "M_terrain": m_terrain,
+                "M_terrain": max_passable_height(zip(heights, rates)),
                 "M_reward": base.m_reward,
                 "success": base.success_rate,
                 "updates_to_threshold": crossing,
@@ -325,37 +315,18 @@ def cmd_ablation(cfg: ExperimentConfig, out_root: Path) -> dict:
             metrics_per_seed.append(row)
 
         summary = {"mode": mode.value}
-        for key, col in (
-            ("E_vel", "E_vel"),
-            ("E_ang", "E_ang"),
-            ("M_terrain", "M_terrain"),
-            ("M_reward", "M_reward"),
-            ("success", "success"),
-        ):
+        for key in _ABLATION_METRICS:
             mean, std = _mean_std([m[key] for m in metrics_per_seed])
-            summary[f"{col}_mean"] = mean
-            summary[f"{col}_std"] = std
+            summary[f"{key}_mean"] = mean
+            summary[f"{key}_std"] = std
         summary_rows.append(summary)
         results[mode.value] = {
             "per_seed": metrics_per_seed,
             "summary": summary,
         }
 
-    write_csv(
-        out / "per_seed.csv",
-        (
-            "mode",
-            "seed",
-            "E_vel",
-            "E_ang",
-            "M_terrain",
-            "M_reward",
-            "success",
-            "updates_to_threshold",
-        ),
-        per_seed_rows,
-        cfg,
-    )
+    per_seed_columns = ("mode", "seed", *_ABLATION_METRICS, "updates_to_threshold")
+    write_csv(out / "per_seed.csv", per_seed_columns, per_seed_rows, cfg)
     write_csv(out / "summary.csv", SUMMARY_COLUMNS, summary_rows, cfg)
     return results
 
@@ -374,12 +345,11 @@ def cmd_generalize(cfg: ExperimentConfig, out_root: Path) -> list[dict]:
         by_height: dict[float, list[float]] = {h: [] for h in cfg.generalize.eval_heights}
         for seed in cfg.run.seeds:
             res = train_policy(env_cfg, train_ranges, cfg.ppo, cfg.generalize.updates, seed)
-            for j, h in enumerate(cfg.generalize.eval_heights):
-                ranges = replace(cfg.world, h_step=(h, h), h_choices=None)
-                records = evaluate_policy(
-                    res.policy, env_cfg, ranges, cfg.generalize.episodes, _eval_seed(seed, 200 + j)
-                )
-                rate = float(np.mean([r.success for r in records]))
+            rates = _pinned_success(
+                res.policy, env_cfg, cfg.world, cfg.generalize.eval_heights,
+                cfg.generalize.episodes, seed, 200,
+            )
+            for h, rate in zip(cfg.generalize.eval_heights, rates):
                 by_height[h].append(rate)
                 per_seed_rows.append({"height": h, "mode": mode.value, "seed": seed, "success": rate})
         for h in cfg.generalize.eval_heights:

@@ -5,7 +5,15 @@ tanh-squashed action means, and the clipped ratio objective are
 differentiated analytically and checked against finite differences in the
 test suite. Training follows a three-stage schedule: policy pretraining
 on teacher tokens, supervised estimator training on on-policy states,
-then joint optimization with the estimator in the loop.
+then joint optimization with the estimator in the loop. One loop runs
+every stage: collect, a PPO step and/or an estimator step, a curve row;
+a batch with no supervision sample leaves ``terrain_loss`` empty.
+
+Streams of ``train_three_stage``'s seed: stage 1 splits spawn 0 into
+init, collect, update and env; stage 2 uses spawns 1 (estimator init),
+2 (ensemble) and 3 (collect); stage 3 splits spawn 4 like stage 1 but
+keeps the policy. The policy's Adam state is fresh in each of stages 1
+and 3; the estimator's carries over from stage 2, where alpha is 1.
 """
 
 from __future__ import annotations
@@ -380,37 +388,6 @@ def estimator_update(
     return initial
 
 
-def joint_update(
-    policy: GaussianPolicy,
-    estimator: Mlp,
-    batch: RolloutBatch,
-    cfg: PpoConfig,
-    weights: TerrainLossWeights,
-    policy_adam: AdamState,
-    estimator_adam: AdamState,
-    rng: np.random.Generator,
-    stage2_epochs: int = 1,
-) -> dict:
-    """Joint objective: the PPO stats plus alpha-weighted terrain loss."""
-    stats = ppo_update(policy, batch, cfg, policy_adam, rng)
-    terrain = 0.0
-    if batch.sup_features is not None and batch.sup_features.size:
-        terrain = estimator_update(
-            estimator,
-            batch.sup_features,
-            batch.sup_class,
-            batch.sup_h,
-            batch.sup_d,
-            weights,
-            estimator_adam,
-            alpha=cfg.alpha,
-            epochs=stage2_epochs,
-        )
-    stats["terrain_loss"] = terrain
-    stats["total_loss"] = stats["policy_loss"] + cfg.alpha * terrain
-    return stats
-
-
 CURVE_COLUMNS = (
     "update",
     "mean_reward",
@@ -474,52 +451,64 @@ def make_ensemble(
     return envs, samplers
 
 
+@dataclass(frozen=True)
+class _EstimatorFit:
+    """A stage's estimator step: ``epochs`` Adam steps on alpha * terrain loss."""
+
+    net: Mlp
+    adam: AdamState
+    weights: TerrainLossWeights
+    epochs: int
+    alpha: float = 1.0
+
+
+def _train_stage(
+    policy: GaussianPolicy,
+    envs: list[StepperEnv],
+    samplers: list[WorldSampler],
+    ppo_cfg: PpoConfig,
+    updates: range,
+    collect_rng: np.random.Generator,
+    update_rng: np.random.Generator | None,
+    fit: _EstimatorFit | None = None,
+) -> list[dict]:
+    """Run one stage's updates; each writes one curve row.
+
+    The policy trains only with an ``update_rng``, from a fresh Adam state;
+    the estimator only with a ``fit``, on batches that hold supervision.
+    """
+    policy_adam = AdamState(lr=ppo_cfg.learning_rate)
+    curves = []
+    for update in updates:
+        batch = collect(envs, samplers, policy, ppo_cfg, collect_rng, fit is not None)
+        stats = {}
+        if update_rng is not None:
+            stats = ppo_update(policy, batch, ppo_cfg, policy_adam, update_rng)
+        if fit is not None and batch.sup_features is not None:
+            stats["terrain_loss"] = estimator_update(
+                fit.net, batch.sup_features, batch.sup_class, batch.sup_h, batch.sup_d,
+                fit.weights, fit.adam, alpha=fit.alpha, epochs=fit.epochs,
+            )
+        curves.append(_curve_row(update, stats, batch.episodes))
+    return curves
+
+
 def train_policy(
     env_cfg: EnvConfig,
     ranges: ParameterRanges,
     ppo_cfg: PpoConfig,
     n_updates: int,
     seed: int,
-    estimator_net: Mlp | None = None,
-    policy: GaussianPolicy | None = None,
-    joint: bool = False,
-    weights: TerrainLossWeights = TerrainLossWeights(),
-    estimator_adam: AdamState | None = None,
-    stage2_epochs: int = 1,
-    update_offset: int = 0,
 ) -> TrainResult:
-    """Plain PPO loop (optionally joint with the estimator); one stage."""
+    """Plain PPO from a fresh policy; stage 1 of ``train_three_stage``."""
     init_seed, collect_seed, update_seed, env_seed = _as_seedseq(seed).spawn(4)
-    if policy is None:
-        policy = GaussianPolicy(OBS_DIM[env_cfg.obs_mode], np.random.default_rng(init_seed))
-    envs, samplers = make_ensemble(
-        env_cfg, ranges, ppo_cfg.n_envs, env_seed, estimator_net=estimator_net
+    policy = GaussianPolicy(OBS_DIM[env_cfg.obs_mode], np.random.default_rng(init_seed))
+    envs, samplers = make_ensemble(env_cfg, ranges, ppo_cfg.n_envs, env_seed)
+    curves = _train_stage(
+        policy, envs, samplers, ppo_cfg, range(n_updates),
+        np.random.default_rng(collect_seed), np.random.default_rng(update_seed),
     )
-    collect_rng = np.random.default_rng(collect_seed)
-    update_rng = np.random.default_rng(update_seed)
-    policy_adam = AdamState(lr=ppo_cfg.learning_rate)
-    if estimator_adam is None:
-        estimator_adam = AdamState(lr=ppo_cfg.learning_rate)
-
-    curves = []
-    for update in range(n_updates):
-        batch = collect(envs, samplers, policy, ppo_cfg, collect_rng, collect_supervision=joint)
-        if joint and estimator_net is not None:
-            stats = joint_update(
-                policy,
-                estimator_net,
-                batch,
-                ppo_cfg,
-                weights,
-                policy_adam,
-                estimator_adam,
-                update_rng,
-                stage2_epochs=stage2_epochs,
-            )
-        else:
-            stats = ppo_update(policy, batch, ppo_cfg, policy_adam, update_rng)
-        curves.append(_curve_row(update_offset + update, stats, batch.episodes))
-    return TrainResult(policy, estimator_net, curves)
+    return TrainResult(policy, None, curves)
 
 
 def train_three_stage(
@@ -531,54 +520,34 @@ def train_three_stage(
 ) -> TrainResult:
     """Teacher-token pretraining, supervised estimator training, joint stage."""
     seeds = _as_seedseq(seed).spawn(6)
-    curves: list[dict] = []
+    n1, n2, n3 = train_cfg.stage1_updates, train_cfg.stage2_updates, train_cfg.stage3_updates
 
     # Stage 1: policy learns from ground-truth tokens.
     stage1_cfg = replace(env_cfg, token_source=TokenSource.GROUND_TRUTH)
-    result = train_policy(stage1_cfg, ranges, ppo_cfg, train_cfg.stage1_updates, seeds[0])
-    policy = result.policy
-    curves.extend(result.curves)
+    result = train_policy(stage1_cfg, ranges, ppo_cfg, n1, seeds[0])
+    policy, curves = result.policy, result.curves
 
-    # Stage 2: estimator learns from teacher labels on on-policy states.
+    # Stage 2: the estimator learns from teacher labels on on-policy states.
     estimator = build_estimator_net(np.random.default_rng(seeds[1]))
-    estimator_adam = AdamState(lr=train_cfg.estimator_lr)
-    if train_cfg.stage2_updates > 0:
-        envs, samplers = make_ensemble(stage1_cfg, ranges, ppo_cfg.n_envs, seeds[2])
-        collect_rng = np.random.default_rng(seeds[3])
-        for update in range(train_cfg.stage2_updates):
-            batch = collect(envs, samplers, policy, ppo_cfg, collect_rng, collect_supervision=True)
-            loss = estimator_update(
-                estimator,
-                batch.sup_features,
-                batch.sup_class,
-                batch.sup_h,
-                batch.sup_d,
-                train_cfg.loss,
-                estimator_adam,
-                epochs=train_cfg.stage2_epochs,
-            )
-            row = _curve_row(train_cfg.stage1_updates + update, {"terrain_loss": loss}, batch.episodes)
-            curves.append(row)
+    fit = _EstimatorFit(
+        estimator, AdamState(lr=train_cfg.estimator_lr), train_cfg.loss, train_cfg.stage2_epochs
+    )
+    envs, samplers = make_ensemble(stage1_cfg, ranges, ppo_cfg.n_envs, seeds[2])
+    curves += _train_stage(
+        policy, envs, samplers, ppo_cfg, range(n1, n1 + n2),
+        np.random.default_rng(seeds[3]), None, fit,
+    )
 
-    # Stage 3: joint optimization with predicted tokens in the loop.
-    if train_cfg.stage3_updates > 0:
-        stage3_cfg = replace(env_cfg, token_source=TokenSource.LEARNED)
-        result = train_policy(
-            stage3_cfg,
-            ranges,
-            ppo_cfg,
-            train_cfg.stage3_updates,
-            seeds[4],
-            estimator_net=estimator,
-            policy=policy,
-            joint=True,
-            weights=train_cfg.loss,
-            estimator_adam=estimator_adam,
-            stage2_epochs=train_cfg.stage2_epochs,
-            update_offset=train_cfg.stage1_updates + train_cfg.stage2_updates,
-        )
-        policy = result.policy
-        curves.extend(result.curves)
+    # Stage 3: joint optimization with predicted tokens in the loop; the
+    # estimator keeps its Adam state, the policy starts a fresh one.
+    _, collect_seed, update_seed, env_seed = seeds[4].spawn(4)
+    stage3_cfg = replace(env_cfg, token_source=TokenSource.LEARNED)
+    envs, samplers = make_ensemble(stage3_cfg, ranges, ppo_cfg.n_envs, env_seed, estimator)
+    curves += _train_stage(
+        policy, envs, samplers, ppo_cfg, range(n1 + n2, n1 + n2 + n3),
+        np.random.default_rng(collect_seed), np.random.default_rng(update_seed),
+        replace(fit, alpha=ppo_cfg.alpha),
+    )
     return TrainResult(policy, estimator, curves)
 
 
@@ -588,11 +557,10 @@ def evaluate_policy(
     ranges: ParameterRanges,
     n_episodes: int,
     seed: int,
-    estimator_net: Mlp | None = None,
 ) -> list[EpisodeRecord]:
     """Deterministic (mean-action) evaluation episodes."""
     env_rng, sampler_rng = _spawn_rngs(seed, 2)
-    env = StepperEnv(env_cfg, env_rng, estimator_net=estimator_net)
+    env = StepperEnv(env_cfg, env_rng)
     sampler = WorldSampler(ranges, sampler_rng)
     records = []
     for _ in range(n_episodes):

@@ -341,17 +341,6 @@ class TestTraceAndMetrics:
         assert m.success_rate == 1.0
         assert m.m_reward == pytest.approx(0.05)
 
-    def test_metrics_terrain_difficulty(self):
-        records = []
-        for h, rate in ((0.1, 1.0), (0.2, 0.6), (0.3, 0.2)):
-            for i in range(10):
-                ok = i < rate * 10
-                records.append(
-                    EpisodeRecord(5, 1.0, ok, "success" if ok else "scuff",
-                                  StairClass.STAIRS_UP, h, 0.3, 0.1, 0.1)
-                )
-        assert metrics(records, horizon=10).m_terrain == pytest.approx(0.2)
-
     def test_max_passable_height(self):
         assert max_passable_height([]) == 0.0
         assert max_passable_height([(0.12, 0.4), (0.16, 0.0)]) == 0.0

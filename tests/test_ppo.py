@@ -14,8 +14,10 @@ from stairlab.ppo import (
     WorldSampler,
     collect,
     estimator_update,
+    _curve_row,
+    _EstimatorFit,
+    _train_stage,
     gae,
-    joint_update,
     make_ensemble,
     normalize_advantages,
     ppo_update,
@@ -306,43 +308,38 @@ class TestPpoUpdate:
         assert worst <= 1e-4
 
 
+def assert_params_equal(a: dict, b: dict) -> None:
+    assert a.keys() == b.keys()
+    for k in a:
+        assert np.array_equal(a[k], b[k]), k
+
+
 class TestJointUpdate:
     def test_alpha_zero_matches_plain_ppo(self):
-        def fresh():
-            envs, samplers = _blind_envs(seed=8)
-            policy = GaussianPolicy(OBS_DIM[ObsMode.BLIND], np.random.default_rng(8))
-            batch = collect(envs, samplers, policy, toy_ppo(), np.random.default_rng(9))
-            return policy, batch
-
+        # At alpha = 0 the stage loop's estimator step leaves the estimator as
+        # it is, and its policy step is plain PPO on the supervised batch.
         cfg = toy_ppo(alpha=0.0)
-        pol_a, batch_a = fresh()
-        pol_b, batch_b = fresh()
         estimator = build_estimator_net(np.random.default_rng(10), hidden=4)
-        stats_a = ppo_update(pol_a, batch_a, cfg, AdamState(lr=3e-4), np.random.default_rng(11))
-        stats_b = joint_update(
-            pol_b, estimator, batch_b, cfg, TerrainLossWeights(),
-            AdamState(lr=3e-4), AdamState(lr=1e-2), np.random.default_rng(11),
+        initial = {k: v.copy() for k, v in estimator.params().items()}
+        fit = _EstimatorFit(estimator, AdamState(lr=1e-2), TerrainLossWeights(), epochs=2, alpha=0.0)
+        envs, samplers = _blind_envs(seed=8)
+        pol_a = GaussianPolicy(OBS_DIM[ObsMode.BLIND], np.random.default_rng(8))
+        curves = _train_stage(
+            pol_a, envs, samplers, cfg, range(2),
+            np.random.default_rng(9), np.random.default_rng(11), fit,
         )
-        pa, pb = pol_a.params(), pol_b.params()
-        for k in pa:
-            assert np.array_equal(pa[k], pb[k])
-        assert stats_a["policy_loss"] == stats_b["policy_loss"]
 
-    def test_total_loss_bookkeeping(self):
-        cfg = EnvConfig(obs_mode=ObsMode.TOKEN, horizon=30, sensor=FAST_SENSOR, token_refresh=4)
-        envs, samplers = make_ensemble(cfg, TOY_WORLD, 2, 12)
-        policy = GaussianPolicy(OBS_DIM[ObsMode.TOKEN], np.random.default_rng(12))
-        batch = collect(envs, samplers, policy, toy_ppo(horizon=8), np.random.default_rng(13),
-                        collect_supervision=True)
-        estimator = build_estimator_net(np.random.default_rng(14), hidden=8)
-        ppo_cfg = toy_ppo(horizon=8, alpha=1.0)
-        stats = joint_update(
-            policy, estimator, batch, ppo_cfg, TerrainLossWeights(),
-            AdamState(lr=3e-4), AdamState(lr=1e-2), np.random.default_rng(15),
-        )
-        assert stats["total_loss"] == pytest.approx(
-            stats["policy_loss"] + ppo_cfg.alpha * stats["terrain_loss"], abs=1e-12
-        )
+        envs, samplers = _blind_envs(seed=8)
+        pol_b = GaussianPolicy(OBS_DIM[ObsMode.BLIND], np.random.default_rng(8))
+        collect_rng, update_rng = np.random.default_rng(9), np.random.default_rng(11)
+        adam = AdamState(lr=cfg.learning_rate)
+        for _ in range(2):
+            batch = collect(envs, samplers, pol_b, cfg, collect_rng, collect_supervision=True)
+            stats = ppo_update(pol_b, batch, cfg, adam, update_rng)
+        assert_params_equal(pol_a.params(), pol_b.params())
+        assert_params_equal(estimator.params(), initial)
+        assert curves[-1]["policy_loss"] == stats["policy_loss"]
+        assert not math.isnan(curves[-1]["terrain_loss"])
 
     def test_supervised_estimator_converges(self):
         rng = np.random.default_rng(16)
@@ -407,6 +404,73 @@ class TestTraining:
         assert math.isnan(res.curves[0]["terrain_loss"])
         assert not math.isnan(res.curves[2]["terrain_loss"])
         assert not math.isnan(res.curves[5]["terrain_loss"])
+        # Stage 2 trains no policy, so its rows carry no policy loss.
+        assert math.isnan(res.curves[2]["policy_loss"])
+        assert math.isnan(res.curves[3]["policy_loss"])
+        assert not math.isnan(res.curves[4]["policy_loss"])
+
+    def test_three_stage_seed_layout(self):
+        # Stages 2 and 3 rebuilt from the public pieces under the documented
+        # stream layout reproduce train_three_stage bit for bit.
+        env_cfg = EnvConfig(
+            obs_mode=ObsMode.TOKEN, horizon=30, sensor=FAST_SENSOR, token_refresh=5
+        )
+        ppo_cfg = toy_ppo(horizon=10, alpha=0.5)
+        train_cfg = TrainConfig(stage1_updates=1, stage2_updates=2, stage3_updates=2, stage2_epochs=2)
+        full = train_three_stage(env_cfg, TOY_WORLD, ppo_cfg, train_cfg, seed=23)
+
+        seeds = np.random.SeedSequence(23).spawn(6)
+        stage1_cfg = replace(env_cfg, token_source=TokenSource.GROUND_TRUTH)
+        first = train_policy(stage1_cfg, TOY_WORLD, ppo_cfg, 1, seeds[0])
+        policy, curves = first.policy, list(first.curves)
+
+        estimator = build_estimator_net(np.random.default_rng(seeds[1]))
+        estimator_adam = AdamState(lr=train_cfg.estimator_lr)
+
+        def fit(batch, alpha):
+            return estimator_update(
+                estimator, batch.sup_features, batch.sup_class, batch.sup_h, batch.sup_d,
+                train_cfg.loss, estimator_adam, alpha=alpha, epochs=2,
+            )
+
+        envs, samplers = make_ensemble(stage1_cfg, TOY_WORLD, ppo_cfg.n_envs, seeds[2])
+        collect_rng = np.random.default_rng(seeds[3])
+        for update in (1, 2):
+            batch = collect(envs, samplers, policy, ppo_cfg, collect_rng, collect_supervision=True)
+            curves.append(_curve_row(update, {"terrain_loss": fit(batch, 1.0)}, batch.episodes))
+
+        _, collect_seed, update_seed, env_seed = seeds[4].spawn(4)
+        stage3_cfg = replace(env_cfg, token_source=TokenSource.LEARNED)
+        envs, samplers = make_ensemble(
+            stage3_cfg, TOY_WORLD, ppo_cfg.n_envs, env_seed, estimator_net=estimator
+        )
+        collect_rng, update_rng = np.random.default_rng(collect_seed), np.random.default_rng(update_seed)
+        policy_adam = AdamState(lr=ppo_cfg.learning_rate)
+        for update in (3, 4):
+            batch = collect(envs, samplers, policy, ppo_cfg, collect_rng, collect_supervision=True)
+            stats = ppo_update(policy, batch, ppo_cfg, policy_adam, update_rng)
+            stats["terrain_loss"] = fit(batch, ppo_cfg.alpha)
+            curves.append(_curve_row(update, stats, batch.episodes))
+
+        assert curves_equal(full.curves, curves)
+        assert_params_equal(full.policy.params(), policy.params())
+        assert_params_equal(full.estimator.params(), estimator.params())
+
+    def test_batches_without_supervision_skip_the_estimator_step(self):
+        # With a rollout horizon shorter than the token refresh period, some
+        # batches hold no supervision sample. Stages 2 and 3 then take no
+        # estimator step and leave terrain_loss empty, as stage-1 rows do.
+        env_cfg = EnvConfig(
+            obs_mode=ObsMode.TOKEN, horizon=30, sensor=FAST_SENSOR, token_refresh=5
+        )
+        train_cfg = TrainConfig(stage1_updates=1, stage2_updates=3, stage3_updates=3)
+        res = train_three_stage(env_cfg, TOY_WORLD, toy_ppo(horizon=2), train_cfg, seed=24)
+        losses = [row["terrain_loss"] for row in res.curves]
+        assert math.isnan(losses[0])
+        for stage in (losses[1:4], losses[4:7]):
+            assert any(math.isnan(v) for v in stage)
+            assert any(not math.isnan(v) for v in stage)
+        assert 0.0 not in losses
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigError):
