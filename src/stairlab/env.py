@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bev import BevGrid, project
+from .bev import EXTENT, BevGrid, project
 from .errors import ConfigError
 from .estimator import (
     EstimatorConfig,
@@ -123,6 +123,10 @@ class EnvConfig:
             raise ConfigError("token_refresh must be >= 1")
         if not 0.0 <= self.token_flip_p <= 1.0:
             raise ConfigError("token_flip_p must lie in [0, 1]")
+        if self.sensor.window > EXTENT:
+            raise ConfigError(
+                f"sensor window {self.sensor.window} exceeds the {EXTENT} m BEV grid"
+            )
 
 
 @dataclass
@@ -471,7 +475,8 @@ class StepperEnv:
         cfg = self.cfg
         if cfg.token_source == TokenSource.GROUND_TRUTH:
             px, py, heading = self.world_pose
-            token = self._perturb_token(ground_truth_token(self.spec, heading, (px, py)))
+            gt = ground_truth_token(self.spec, heading, (px, py), cfg.sensor.window)
+            token = self._perturb_token(gt)
             next_riser = self._next_riser(self.s)
         else:
             token = self._estimated_token()
@@ -535,7 +540,7 @@ class StepperEnv:
             self._features_cache = pool_bev(self._sense_grid())
             self._features_cache_t = self.t
         px, py, heading = self.world_pose
-        gt = ground_truth_token(self.spec, heading, (px, py))
+        gt = ground_truth_token(self.spec, heading, (px, py), self.cfg.sensor.window)
         return self._features_cache, int(gt.stair_class), gt.h_step, gt.d_step
 
 

@@ -154,7 +154,7 @@ def benchmark_case(
     if cfg.benchmark.dropout > 0.0:
         cloud = dropout(cloud, cfg.benchmark.dropout, np.random.default_rng(drop_seed))
     est = estimate_token(project(cloud), cfg.env.estimator)
-    gt = ground_truth_token(spec, pose[2], pose[:2])
+    gt = ground_truth_token(spec, pose[2], pose[:2], cfg.env.sensor.window)
     err = {
         "h_err": abs(est.token.h_step - gt.h_step),
         "d_err": abs(est.token.d_step - gt.d_step),

@@ -44,6 +44,10 @@ class SensorModel:
     sensor_height: float = 1.2
 
     def __post_init__(self) -> None:
+        for name in ("window", "sample_pitch", "noise_sigma_z", "dropout_rate", "sensor_height"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.sample_pitch <= 0.0:
             raise ConfigError("sample_pitch must be positive")
         if self.noise_sigma_z < 0.0:
@@ -52,6 +56,8 @@ class SensorModel:
             raise ConfigError("dropout_rate must lie in [0, 1]")
         if self.window <= 0.0:
             raise ConfigError("window must be positive")
+        if self.sensor_height <= 0.0:
+            raise ConfigError("sensor_height must be positive")
 
 
 def _lattice(model: SensorModel) -> tuple[np.ndarray, np.ndarray]:
@@ -64,27 +70,43 @@ def _lattice(model: SensorModel) -> tuple[np.ndarray, np.ndarray]:
     return u.ravel(), v.ravel()
 
 
+# Within this distance below the 1e-9 threshold the margins at the ends
+# of a riser run cannot settle a ray (see ``_line_of_sight_mask``). The
+# rounding of a margin is orders of magnitude smaller.
+_NEAR_THRESHOLD = 1e-10
+
+
 def _line_of_sight_mask(
-    profile: TerrainProfile,
-    pose: tuple[float, float, float],
-    xw: np.ndarray,
-    yw: np.ndarray,
-    z_true: np.ndarray,
-    support: float,
-    sensor_height: float,
+    profile: TerrainProfile, s0: float, s: np.ndarray, z_true: np.ndarray, z0: float
 ) -> np.ndarray:
     """True where the segment from the sensor to each surface point is unobstructed.
 
-    The heightfield is constant between risers and the segment is linear,
-    so the segment can only pass below the terrain where it crosses a
-    riser line, and there the higher of the two treads meeting at the
-    riser (its top edge) decides. Crossings at the sensor or at the target
-    itself (t = 0 or 1) never block. Exact, in O(N * n_steps).
+    The sensor sits at along-axis position ``s0`` and height ``z0``, the
+    surface points at ``s`` and ``z_true``. The heightfield is constant
+    between risers and the segment is linear, so the segment can only pass
+    below the terrain where it crosses a riser line, and there the higher
+    of the two treads meeting at the riser (its top edge) decides: riser k
+    blocks where t_k = (r_k - s0) / ds lies in (0, 1) and its edge stands
+    more than 1e-9 above the ray at t_k. Crossings at the sensor or at the
+    target itself (t = 0 or 1) never block.
+
+    Only risers with r_k - s0 strictly between 0 and ds can have t_k in
+    (0, 1); they form a run of consecutive k, found by a binary search.
+    The margin ``edge_k - ray_z(t_k)`` is affine in k, because the edges
+    and the riser positions are, so it peaks at an end of the run, and
+    each ray tests the two ends. The ray is settled there when an end
+    blocks, or when both ends have t in (0, 1) and margins more than
+    ``_NEAR_THRESHOLD`` below the threshold, out of reach of rounding.
+    Otherwise (an end's t underflows to 0, or a margin lies just below
+    the threshold) it tests every riser of the run. Rays that cross no
+    riser, ds == 0 among them, are not tested. The mask equals the test
+    of every ray against every riser bit for bit, and the cost falls from
+    O(N * n_steps) to O(N log n_steps).
     """
     spec = profile.spec
+    visible = np.ones(s.shape[0], dtype=bool)
     if spec.stair_class == StairClass.FLAT:
-        return np.ones(xw.shape[0], dtype=bool)
-    risers = profile.riser_positions()
+        return visible
     k = np.arange(spec.n_steps, dtype=float)
     # Computed from the spec rather than queried at the riser position,
     # where rounding could resolve to the lower tread.
@@ -93,15 +115,35 @@ def _line_of_sight_mask(
     else:
         edges = -spec.h_step * k
 
-    s0 = float(profile._along_axis(pose[0], pose[1]))
-    z0 = support + sensor_height
-    ds = profile._along_axis(xw, yw) - s0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # ds == 0 (a ray along the risers) gives inf or nan, never in (0, 1).
-        t = (risers[None, :] - s0) / ds[:, None]
-        ray_z = z0 + t * (z_true - z0)[:, None]
-    blocked = (t > 0.0) & (t < 1.0) & (edges[None, :] - ray_z > 1e-9)
-    return ~blocked.any(axis=1)
+    ahead = profile.riser_positions() - s0
+    ds = s - s0
+    # Risers behind the sensor (ahead < 0) and not ahead of it (ahead <= 0).
+    behind = int(np.searchsorted(ahead, 0.0, side="left"))
+    not_ahead = int(np.searchsorted(ahead, 0.0, side="right"))
+    first_ahead = ahead[not_ahead] if not_ahead < ahead.size else np.inf
+    last_behind = ahead[behind - 1] if behind else -np.inf
+    crossing = np.flatnonzero((ds > first_ahead) | (ds < last_behind))
+    ds = ds[crossing]
+    forward = ds > 0.0
+    lo = np.where(forward, not_ahead, np.searchsorted(ahead, ds, side="right"))
+    hi = np.where(forward, np.searchsorted(ahead, ds, side="left") - 1, behind - 1)
+    rise = z_true[crossing] - z0
+
+    def margin(k, ds, rise):
+        # Height of the edge of riser k above the ray; nan where t is off (0, 1).
+        t = ahead[k] / ds
+        m = edges[k] - (z0 + t * rise)
+        m[(t <= 0.0) | (t >= 1.0)] = np.nan
+        return m
+
+    first, last = margin(lo, ds, rise), margin(hi, ds, rise)
+    blocked = (first > 1e-9) | (last > 1e-9)
+    settled = (first <= 1e-9 - _NEAR_THRESHOLD) & (last <= 1e-9 - _NEAR_THRESHOLD)
+    for i in np.flatnonzero(~blocked & ~settled):
+        run = margin(np.arange(lo[i], hi[i] + 1), ds[i], rise[i])
+        blocked[i] = bool(np.any(run > 1e-9))
+    visible[crossing[blocked]] = False
+    return visible
 
 
 def scan(
@@ -124,13 +166,13 @@ def scan(
 
     u, v = _lattice(model)
     cos_h, sin_h = math.cos(heading), math.sin(heading)
-    xw = x + u * cos_h - v * sin_h
-    yw = y + u * sin_h + v * cos_h
-    z = profile.height_at(xw, yw)
+    s = profile._along_axis(x + u * cos_h - v * sin_h, y + u * sin_h + v * cos_h)
+    z = profile.height_on_axis(s)
     support = profile.height_at(x, y)
 
     if model.occlusion:
-        keep = _line_of_sight_mask(profile, robot_pose, xw, yw, z, support, model.sensor_height)
+        s0 = float(profile._along_axis(x, y))
+        keep = _line_of_sight_mask(profile, s0, s, z, support + model.sensor_height)
         u, v, z = u[keep], v[keep], z[keep]
 
     if model.noise_sigma_z > 0.0:

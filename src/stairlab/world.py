@@ -14,6 +14,7 @@ World conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -204,6 +205,20 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+@functools.cache
+def _class_cdf(weights: tuple[float, float, float]) -> np.ndarray:
+    """Cumulative class probabilities, built as ``Generator.choice(3, p=...)`` builds them.
+
+    A draw of one ``rng.random()`` against this table picks the class that
+    ``choice`` picks from the same stream, without re-checking the weights.
+    """
+    p = np.asarray(weights, dtype=float)
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
 def generate_stairs(seed, ranges: ParameterRanges) -> StairSpec:
     """Draw a StairSpec uniformly from ``ranges``; deterministic per seed.
 
@@ -212,9 +227,8 @@ def generate_stairs(seed, ranges: ParameterRanges) -> StairSpec:
     h_step = d_step = 0.
     """
     rng = _as_rng(seed)
-    weights = np.asarray(ranges.class_weights, dtype=float)
-    weights = weights / weights.sum()
-    stair_class = StairClass(int(rng.choice(3, p=weights)))
+    cdf = _class_cdf(tuple(ranges.class_weights))
+    stair_class = StairClass(int(cdf.searchsorted(rng.random(), side="right")))
     if ranges.h_choices is not None:
         h = float(rng.choice(np.asarray(ranges.h_choices, dtype=float)))
     else:
@@ -246,15 +260,16 @@ def ground_truth_token(
     spec: StairSpec,
     robot_heading: float,
     robot_xy: tuple[float, float],
-    window: float = 3.0,
+    window: float,
 ) -> TerrainToken:
     """Privileged terrain token for a robot pose.
 
     The token reports stair geometry only when the robot-centric
-    ``window`` x ``window`` square (the sensing extent) contains at least
-    one riser line; otherwise it degrades to the flat convention. Theta is
-    the robot heading relative to the ascent axis, wrapped into (-pi, pi];
-    on flat terrain it is the robot heading itself.
+    ``window`` x ``window`` square (the sensing extent; callers pass the
+    sensor's ``window``) contains at least one riser line; otherwise it
+    degrades to the flat convention. Theta is the robot heading relative
+    to the ascent axis, wrapped into (-pi, pi]; on flat terrain it is the
+    robot heading itself.
     """
     if spec.stair_class == StairClass.FLAT:
         return TerrainToken(StairClass.FLAT, 0.0, 0.0, wrap_pi(robot_heading))

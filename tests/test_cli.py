@@ -282,6 +282,37 @@ class TestBenchmarkCommand:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
 
 
+class TestSensorSettingsRejected:
+    """An invalid [sensor] setting fails the run with one line naming the field."""
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("window", "nan", "window must be finite, got nan"),
+            ("window", "inf", "window must be finite, got inf"),
+            ("window", "3.5", "sensor window 3.5 exceeds the 3.0 m BEV grid"),
+            ("pitch", "nan", "sample_pitch must be finite, got nan"),
+            ("noise_sigma_z", "nan", "noise_sigma_z must be finite, got nan"),
+            ("dropout", "nan", "dropout_rate must be finite, got nan"),
+            ("sensor_height", "nan", "sensor_height must be finite, got nan"),
+            ("sensor_height", "-1.0", "sensor_height must be positive"),
+            ("sensor_height", "0.0", "sensor_height must be positive"),
+        ],
+    )
+    def test_one_error_line(self, tmp_path, capsys, monkeypatch, key, value, message):
+        monkeypatch.delenv("STAIRLAB_OUT", raising=False)
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(
+            f"[sensor]\nocclusion = true\n{key} = {value}\n[benchmark]\nn_configs = 2\n"
+        )
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "benchmark-estimator"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+
 TINY_TRAIN = """
 [run]
 seeds = 1,2

@@ -55,11 +55,20 @@ class TestReset:
         assert obs[2] == env.v_cmd and obs[2] > 0
         assert np.all(np.delete(obs, 2) == 0.0)
 
+    def test_teacher_token_reads_the_sensor_window(self):
+        # The first riser is 1.5 m ahead: on the edge of a 3 m window, outside a 1 m one.
+        spec = stairs(lead=3.0)
+        for window, want in ((3.0, StairClass.STAIRS_UP), (1.0, StairClass.FLAT)):
+            env = StepperEnv(EnvConfig(sensor=SensorModel(window=window, sample_pitch=0.05)), seed=0)
+            obs = env.reset(spec)
+            assert obs[6 + int(want)] == 1.0
+            assert env.supervision_sample()[1] == int(want)
+
     def test_token_ground_truth_passthrough(self):
         env = StepperEnv(EnvConfig(obs_mode=ObsMode.TOKEN), seed=0)
         spec = stairs(h=0.15, d=0.28, lead=1.0)
         obs = env.reset(spec)
-        token = ground_truth_token(spec, env.world_pose[2], env.world_pose[:2])
+        token = ground_truth_token(spec, env.world_pose[2], env.world_pose[:2], window=3.0)
         assert obs.shape == (13,)
         assert np.allclose(obs[6:12], token.as_vector())
         # Start at s = -0.5; the first riser is at s = 0.
@@ -582,7 +591,9 @@ class FrozenStepper(StepperEnv):
     def _token(self):
         cfg = self.cfg
         if cfg.token_source == TokenSource.GROUND_TRUTH:
-            token = ground_truth_token(self.spec, self.world_pose[2], self.world_pose[:2])
+            token = ground_truth_token(
+                self.spec, self.world_pose[2], self.world_pose[:2], cfg.sensor.window
+            )
             token = self._perturb_token(token)
             next_riser = self.profile.next_riser_distance(self.s)
         else:

@@ -152,6 +152,47 @@ def march_visible(profile, pose, xw, yw, z_true, support, sensor_height, ray_pit
     return visible
 
 
+def line_of_sight(profile, pose, xw, yw, z_true, support, sensor_height):
+    """``_line_of_sight_mask`` called as ``scan`` calls it, from world coordinates."""
+    s0 = float(profile._along_axis(pose[0], pose[1]))
+    s = profile._along_axis(xw, yw)
+    return _line_of_sight_mask(profile, s0, s, z_true, support + sensor_height)
+
+
+def frozen_line_of_sight(profile, pose, xw, yw, z_true, support, sensor_height):
+    """Oracle: the exact test of every ray against every riser, in O(N * n_steps).
+
+    The sensor's mask before the riser-run rule, kept verbatim.
+    """
+    spec = profile.spec
+    if spec.stair_class == StairClass.FLAT:
+        return np.ones(xw.shape[0], dtype=bool)
+    risers = profile.riser_positions()
+    k = np.arange(spec.n_steps, dtype=float)
+    if spec.stair_class == StairClass.STAIRS_UP:
+        edges = spec.h_step * (k + 1.0)
+    else:
+        edges = -spec.h_step * k
+    s0 = float(profile._along_axis(pose[0], pose[1]))
+    z0 = support + sensor_height
+    ds = profile._along_axis(xw, yw) - s0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (risers[None, :] - s0) / ds[:, None]
+        ray_z = z0 + t * (z_true - z0)[:, None]
+    blocked = (t > 0.0) & (t < 1.0) & (edges[None, :] - ray_z > 1e-9)
+    return ~blocked.any(axis=1)
+
+
+def lattice_world(pose, window=3.0, pitch=0.02):
+    """The scan lattice of a sensor at ``pose``, in world coordinates."""
+    n = int(round(window / pitch))
+    axis = -window / 2.0 + pitch * (np.arange(n) + 0.5)
+    u, v = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+    x, y, heading = pose
+    c, s = math.cos(heading), math.sin(heading)
+    return x + u * c - v * s, y + u * s + v * c
+
+
 class TestExactLineOfSight:
     MODEL = SensorModel(noise_sigma_z=0.0, occlusion=True, sample_pitch=0.1)
 
@@ -159,17 +200,12 @@ class TestExactLineOfSight:
         """Lattice mask of the points a noise-free occluded scan keeps, and the lattice in the world."""
         model = self.MODEL
         n = int(round(model.window / model.sample_pitch))
-        axis = -model.window / 2.0 + model.sample_pitch * (np.arange(n) + 0.5)
-        u, v = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
         pts = scan(profile, pose, model, 0).points
         rows = np.rint((pts[:, 0] + model.window / 2.0) / model.sample_pitch - 0.5).astype(int)
         cols = np.rint((pts[:, 1] + model.window / 2.0) / model.sample_pitch - 0.5).astype(int)
-        kept = np.zeros(u.size, dtype=bool)
+        kept = np.zeros(n * n, dtype=bool)
         kept[rows * n + cols] = True
-        x, y, heading = pose
-        xw = x + u * math.cos(heading) - v * math.sin(heading)
-        yw = y + u * math.sin(heading) + v * math.cos(heading)
-        return kept, xw, yw
+        return (kept, *lattice_world(pose, model.window, model.sample_pitch))
 
     @pytest.mark.parametrize("stair_class", list(StairClass), ids=lambda c: c.name.lower())
     def test_matches_dense_march(self, stair_class):
@@ -203,7 +239,7 @@ class TestExactLineOfSight:
         yw = np.array([0.4, 0.4])
         z = profile.height_at(xw, yw)
         assert np.array_equal(march_visible(profile, pose, xw, yw, z, 0.0, 1.2, 0.02), [True, True])
-        visible = _line_of_sight_mask(profile, pose, xw, yw, z, 0.0, 1.2)
+        visible = line_of_sight(profile, pose, xw, yw, z, 0.0, 1.2)
         assert visible.tolist() == [False, True]
 
     def test_ray_along_risers_stays_visible(self):
@@ -213,8 +249,138 @@ class TestExactLineOfSight:
         xw, yw = np.array([0.45]), np.array([1.3])
         z = profile.height_at(xw, yw)
         with np.errstate(all="raise"):
-            visible = _line_of_sight_mask(profile, pose, xw, yw, z, 0.24, 1.2)
+            visible = line_of_sight(profile, pose, xw, yw, z, 0.24, 1.2)
         assert visible.tolist() == [True]
+        # The same on up and down flights, from before, on and past the
+        # flight, whatever the target's height: ds == 0 crosses no riser.
+        for stair_class in (StairClass.STAIRS_UP, StairClass.STAIRS_DOWN):
+            profile = TerrainProfile(StairSpec(stair_class, 0.12, 0.3, 0.0, 6, 1.0, 1.0))
+            for s0 in (-0.4, 0.0, 0.3, 2.0):
+                xw, yw = np.full(31, s0), np.linspace(-1.5, 1.5, 31)
+                z = np.linspace(-2.0, 2.0, 31)
+                with np.errstate(all="raise"):
+                    assert line_of_sight(profile, (s0, 0.0, 0.0), xw, yw, z, 0.0, 1.2).all()
+
+
+def assert_matches_oracle(profile, pose, xw, yw, z_true, support, sensor_height):
+    with np.errstate(over="ignore"):  # t overflows where ds is subnormal
+        want = frozen_line_of_sight(profile, pose, xw, yw, z_true, support, sensor_height)
+    got = line_of_sight(profile, pose, xw, yw, z_true, support, sensor_height)
+    assert got.dtype == bool and got.shape == want.shape
+    assert np.array_equal(got, want)
+    return got
+
+
+def axis_flight(stair_class, n, h=0.12, d=0.3):
+    """A flight along the world x axis with its first riser at x = 0."""
+    return TerrainProfile(StairSpec(stair_class, h, d, 0.0, n, 1.0, 1.0))
+
+
+class TestRiserRunMask:
+    """The mask tests the ends of each ray's riser run and equals the full test bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_frozen_oracle_on_seeded_corpus(self, seed):
+        # Up, down and flat flights of 1-12 risers at any yaw, poses before,
+        # on and past the flight at any heading, three sensor heights and
+        # two lattice pitches.
+        rng = np.random.default_rng(seed)
+        ranges = ParameterRanges(
+            h_step=(0.05, 0.5),
+            d_step=(0.1, 1.0),
+            stair_yaw=(-math.pi, math.pi),
+            n_steps=(1, 12),
+            lead_flat=(0.0, 2.0),
+            class_weights=(1.0, 1.0, 1.0),
+        )
+        occluded = 0
+        for i in range(40):
+            spec = generate_stairs(rng, ranges)
+            profile = TerrainProfile(spec)
+            s = rng.uniform(-spec.lead_flat - 1.0, spec.n_steps * spec.d_step + 1.5)
+            lat = rng.uniform(-1.0, 1.0)
+            ca, sa = math.cos(spec.stair_yaw), math.sin(spec.stair_yaw)
+            pose = (s * ca - lat * sa, s * sa + lat * ca, rng.uniform(-math.pi, math.pi))
+            xw, yw = lattice_world(pose, pitch=(0.02, 0.05)[i % 2])
+            z = profile.height_at(xw, yw)
+            support = profile.height_at(pose[0], pose[1])
+            sensor_height = (0.3, 1.2, 2.0)[i % 3]
+            visible = assert_matches_oracle(profile, pose, xw, yw, z, support, sensor_height)
+            occluded += int((~visible).sum())
+        assert occluded > 0
+
+    @pytest.mark.parametrize("stair_class", [StairClass.STAIRS_UP, StairClass.STAIRS_DOWN])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_lattice_points_on_riser_lines(self, stair_class, n):
+        # With x = 0.01 and a 0.02 m pitch, a lattice row lies on every
+        # riser line (x = 0.3 k) up to rounding, on both sides of the sensor.
+        profile = axis_flight(stair_class, n)
+        for x in (0.01, -0.29, 0.31, 0.3 * n + 0.01):
+            for heading in (0.0, math.pi, 0.1):
+                pose = (x, 0.0, heading)
+                xw, yw = lattice_world(pose)
+                z = profile.height_at(xw, yw)
+                support = profile.height_at(x, 0.0)
+                for sensor_height in (0.12, 1.2):
+                    assert_matches_oracle(profile, pose, xw, yw, z, support, sensor_height)
+
+    @pytest.mark.parametrize("stair_class", [StairClass.STAIRS_UP, StairClass.STAIRS_DOWN])
+    @pytest.mark.parametrize("s0", [-0.5, 0.0, 0.75, 2.9], ids=["before", "on", "mid", "past"])
+    def test_rays_ending_on_a_riser_and_one_ulp_either_side(self, stair_class, s0):
+        profile = axis_flight(stair_class, 8, h=0.2)
+        r = profile.riser_positions()
+        s = np.concatenate([np.nextafter(r, -np.inf), r, np.nextafter(r, np.inf)])
+        # Targets on the terrain, on the riser's top edge, and 0.1 m above and below it.
+        edge = profile.height_on_axis(r)
+        heights = [profile.height_on_axis(s), np.tile(edge, 3)]
+        heights += [heights[1] + 0.1, heights[1] - 0.1]
+        s, z = np.tile(s, 4), np.concatenate(heights)
+        xw, yw = s, np.full(s.size, 0.7)
+        support = profile.height_on_axis(s0)
+        for sensor_height in (0.05, 0.2, 1.2):
+            assert_matches_oracle(profile, (s0, 0.0, 0.0), xw, yw, z, support, sensor_height)
+
+    @pytest.mark.parametrize("stair_class", [StairClass.STAIRS_UP, StairClass.STAIRS_DOWN])
+    def test_single_riser_flights(self, stair_class):
+        profile = axis_flight(stair_class, 1, h=0.3)
+        occluded = 0
+        for x in (-1.0, -0.2, 0.0, 0.2, 1.0):
+            for heading in (0.0, math.pi, 0.7):
+                pose = (x, 0.1, heading)
+                xw, yw = lattice_world(pose, pitch=0.05)
+                z = profile.height_at(xw, yw)
+                support = profile.height_at(x, 0.1)
+                visible = assert_matches_oracle(profile, pose, xw, yw, z, support, 1.2)
+                occluded += int((~visible).sum())
+        # From the upper level the step hides the lower ground at its foot.
+        assert occluded > 0
+
+    def test_first_crossing_that_rounds_to_the_sensor(self):
+        # The sensor stands 5e-324 m before riser 0, so t_0 = 5e-324 / 2.5
+        # rounds to 0 and riser 0 is not crossed. Riser 1 (margin 0.02 m)
+        # blocks the ray; riser 2, the run's other end, does not.
+        profile = axis_flight(StairClass.STAIRS_UP, 3, h=0.2, d=1.0)
+        pose = (-5e-324, 0.0, 0.0)
+        assert profile._along_axis(pose[0], pose[1]) == -5e-324
+        xw, yw, z = np.array([2.5]), np.array([0.0]), np.array([0.8])
+        visible = assert_matches_oracle(profile, pose, xw, yw, z, 0.0, 0.1)
+        assert visible.tolist() == [False]
+
+    def test_margin_within_rounding_of_the_threshold(self):
+        # The ray runs parallel to the line through the riser edges and
+        # 1e-9 below it, so every margin is 1e-9 up to rounding. Rounded,
+        # both ends of the run fall short of the threshold and an interior
+        # riser passes it by 8e-17: the ray is blocked.
+        h, d = 0.15, 0.3
+        profile = axis_flight(StairClass.STAIRS_UP, 9, h=h, d=d)
+        s0, s = -0.3694079295517603, 2.616559584297332
+        z0, z = (h * (x / d + 1.0) - 1e-9 for x in (s0, s))
+        t = (profile.riser_positions() - s0) / (s - s0)
+        margins = h * np.arange(1.0, 10.0) - (z0 + t * (z - z0))
+        assert margins[0] <= 1e-9 and margins[-1] <= 1e-9 < margins.max()
+        xw, yw = np.array([s]), np.array([0.0])
+        visible = assert_matches_oracle(profile, (s0, 0.0, 0.0), xw, yw, np.array([z]), z0, 0.0)
+        assert visible.tolist() == [False]
 
 
 class TestCloudIO:

@@ -6,6 +6,7 @@ import pytest
 from stairlab.errors import ConfigError
 from stairlab.world import (
     MAX_STEP_HEIGHT,
+    _as_rng,
     ParameterRanges,
     StairClass,
     StairSpec,
@@ -23,6 +24,29 @@ def spec_from_text(text: str) -> StairSpec:
     stair_class = StairClass(int(values.pop("class")))
     fields = {k: int(v) if k == "n_steps" else float(v) for k, v in values.items()}
     return StairSpec(stair_class, **fields)
+
+
+def frozen_generate_stairs(seed, ranges: ParameterRanges) -> StairSpec:
+    """Oracle: ``generate_stairs`` as it was, drawing the class with ``rng.choice``."""
+    rng = _as_rng(seed)
+    weights = np.asarray(ranges.class_weights, dtype=float)
+    weights = weights / weights.sum()
+    stair_class = StairClass(int(rng.choice(3, p=weights)))
+    if ranges.h_choices is not None:
+        h = float(rng.choice(np.asarray(ranges.h_choices, dtype=float)))
+    else:
+        h = rng.uniform(*ranges.h_step)
+    d = rng.uniform(*ranges.d_step)
+    yaw = rng.uniform(*ranges.stair_yaw)
+    n = int(rng.integers(ranges.n_steps[0], ranges.n_steps[1] + 1))
+    lead = rng.uniform(*ranges.lead_flat)
+    tail = rng.uniform(*ranges.tail_flat)
+    ox = rng.uniform(*ranges.origin_x)
+    oy = rng.uniform(*ranges.origin_y)
+    if stair_class == StairClass.FLAT:
+        h = 0.0
+        d = 0.0
+    return StairSpec(stair_class, h, d, wrap_pi(yaw), n, lead, tail, ox, oy)
 
 
 def up_spec(h=0.12, d=0.30, yaw=0.0, n=8, lead=1.0, tail=1.0):
@@ -64,6 +88,34 @@ class TestGenerate:
         rng = np.random.default_rng(5)
         drawn = {generate_stairs(rng, ranges).h_step for _ in range(100)}
         assert drawn == {0.12, 0.14, 0.16}
+
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            ParameterRanges(),
+            ParameterRanges(class_weights=(0.2, 0.5, 0.3)),
+            ParameterRanges(class_weights=(1.0, 2.0, 7.0), h_choices=(0.12, 0.14, 0.16)),
+            ParameterRanges(class_weights=(0.0, 0.5, 0.5), h_step=(0.1, 0.25)),
+            ParameterRanges(
+                class_weights=(1.0, 0.0, 3.0),
+                h_step=(0.14, 0.14),
+                d_step=(0.3, 0.3),
+                stair_yaw=(0.1, 0.1),
+                n_steps=(7, 7),
+                origin_x=(-1.0, 2.0),
+            ),
+        ],
+        ids=["default", "three_classes", "h_choices", "up_or_down", "pinned"],
+    )
+    def test_class_draw_matches_generator_choice(self, ranges):
+        # The class comes from one rng.random() against a cached cdf; the
+        # specs and the rest of the stream equal those of rng.choice.
+        for seed in range(4):
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(500):
+                assert generate_stairs(new, ranges) == frozen_generate_stairs(old, ranges)
+            assert new.random() == old.random()
+        assert generate_stairs(11, ranges) == frozen_generate_stairs(11, ranges)
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ConfigError):
@@ -169,7 +221,7 @@ class TestWrapPi:
         # heading just below +pi vs stair yaw just above -pi: the small
         # -0.1 difference must come out, not 2*pi - 0.1.
         spec = up_spec(yaw=-math.pi + 0.05)
-        token = ground_truth_token(spec, math.pi - 0.05, (0.0, 0.0))
+        token = ground_truth_token(spec, math.pi - 0.05, (0.0, 0.0), window=3.0)
         assert token.theta == pytest.approx(-0.1, abs=1e-12)
 
     def test_wrap_grid(self):
@@ -188,25 +240,32 @@ class TestWrapPi:
 class TestGroundTruthToken:
     def test_copies_geometry_near_stairs(self):
         spec = up_spec(h=0.15, d=0.28, yaw=0.0)
-        token = ground_truth_token(spec, 0.1, (0.0, 0.0))
+        token = ground_truth_token(spec, 0.1, (0.0, 0.0), window=3.0)
         assert token == TerrainToken(StairClass.STAIRS_UP, 0.15, 0.28, pytest.approx(0.1))
 
     def test_flat_spec_reports_heading(self):
         spec = StairSpec(StairClass.FLAT, 0.0, 0.0, 0.0, 1, 1.0, 1.0)
-        token = ground_truth_token(spec, 0.25, (0.0, 0.0))
+        token = ground_truth_token(spec, 0.25, (0.0, 0.0), window=3.0)
         assert token == TerrainToken(StairClass.FLAT, 0.0, 0.0, 0.25)
 
     def test_window_without_risers_degrades_to_flat(self):
         spec = up_spec(h=0.15, d=0.28, yaw=0.0, n=4, lead=10.0)
-        far = ground_truth_token(spec, 0.0, (-5.0, 0.0))
+        far = ground_truth_token(spec, 0.0, (-5.0, 0.0), window=3.0)
         assert far.stair_class == StairClass.FLAT
         assert far.h_step == 0.0 and far.d_step == 0.0
-        near = ground_truth_token(spec, 0.0, (-0.5, 0.0))
+        near = ground_truth_token(spec, 0.0, (-0.5, 0.0), window=3.0)
         assert near.stair_class == StairClass.STAIRS_UP
+
+    def test_window_sets_the_sensing_extent(self):
+        # The first riser is 1.2 m ahead: inside a 3 m window, outside a 2 m one.
+        spec = up_spec(lead=2.0)
+        wide = ground_truth_token(spec, 0.0, (-1.2, 0.0), window=3.0)
+        narrow = ground_truth_token(spec, 0.0, (-1.2, 0.0), window=2.0)
+        assert (wide.stair_class, narrow.stair_class) == (StairClass.STAIRS_UP, StairClass.FLAT)
 
     def test_window_past_stairs_degrades_to_flat(self):
         spec = up_spec(h=0.15, d=0.28, yaw=0.0, n=3, tail=10.0)
-        past = ground_truth_token(spec, 0.0, (3 * 0.28 + 2.0, 0.0))
+        past = ground_truth_token(spec, 0.0, (3 * 0.28 + 2.0, 0.0), window=3.0)
         assert past.stair_class == StairClass.FLAT
 
     def test_token_vector_layout(self):
