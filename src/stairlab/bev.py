@@ -14,15 +14,15 @@ exception: -0.0 and +0.0 compare equal, so they keep their input order
 within a cell, and a cell whose largest or smallest z is zero, held with
 both signs, reports a sign in CH_MAX or CH_MIN that depends on that order.
 
-The sort by (cell, z) is done in two passes (``key_value_order``): an
-argsort of z, then a stable argsort of the cell index of the points in
-that order. The cell index is below 3600 and is cast to an unsigned
-type of at most 16 bits, which numpy's stable sort sorts by radix, so
-both passes together cost a fraction of ``np.lexsort((z, cell))``. Each
-cell's z sequence is the one ``np.lexsort`` gives, bit for bit: the z
-argsort is not stable, but equal z values have equal bits except for
-signed zeros, and the run of zeros is put back in input order before
-the second pass.
+The sort by (cell, z) is one in-place sort of packed 64-bit keys
+(``key_value_order``): the cell index, an order-preserving prefix of the
+z bits and the input index, high bits to low. Where two points of a cell
+share a z prefix the index orders them, so one vectorised check that z
+never falls within a cell proves the order exact; the result is the
+permutation ``np.lexsort((z, cell))`` gives, which is also the fallback
+when the check fails or the bits do not fit. Counts and run starts come
+from one ``bincount`` of the cell index, and the per-cell statistics fill
+the grid in one scatter (or in place, when every cell is occupied).
 """
 
 from __future__ import annotations
@@ -69,25 +69,74 @@ def cell_centers(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.nda
     return x, y
 
 
+# The sign bit of a float64 read as int64. XOR-ing the bits with
+# (bits >> 63) | _SIGN maps the order of the floats onto the unsigned order
+# of the bits.
+_SIGN = np.int64(-(2**63))
+
+
 def key_value_order(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Permutation sorting by integer ``keys``, then by float ``values``.
 
-    For values without NaN, ``keys`` and ``values`` come out in the order,
-    bit for bit, that ``np.lexsort((values, keys))`` puts them in; only
-    equal non-zero values, whose bits are the same, may swap places. Two
-    cheaper passes find it: an argsort of the values, then a stable
-    argsort of the keys in that order, shifted to start at 0 and cast to
-    the smallest unsigned type that holds them (numpy sorts types of up to
-    16 bits by radix).
+    Equals ``np.lexsort((values, keys))``: ties, including -0.0 against
+    +0.0, keep their input order. Each point gets one uint64, high bits
+    to low: its key minus the smallest key, as many of the top bits of
+    its value's order-preserving image (-0.0 folded to +0.0) as fit, and
+    its input index. One in-place ``np.sort`` of these orders the points
+    by key, value prefix and index; the order is exact unless two values
+    that share a key and a prefix differ, which shows as a value falling
+    between neighbours of equal key. When that check fails, or the key
+    span and the index leave no bit for the value, ``np.lexsort`` decides.
     """
-    order = np.argsort(values)
-    # -0.0 == +0.0, so the argsort may leave the zeros in any order; put
-    # them back in input order, which is where np.lexsort leaves them.
-    first = np.searchsorted(values[order], 0.0)
-    order[first : first + np.count_nonzero(values == 0.0)].sort()
+    return _sort_by_key_value(keys, values)[0]
+
+
+def _sort_by_key_value(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``key_value_order`` and the values in that order."""
+    n = values.shape[0]
+    if n == 0:
+        return np.empty(0, dtype=np.intp), values[:0]
     lo = keys.min()
-    small = (keys - lo).astype(np.min_scalar_type(keys.max() - lo))
-    return order[np.argsort(small[order], kind="stable")]
+    key_bits = (int(keys.max()) - int(lo)).bit_length()
+    index_bits = (n - 1).bit_length()
+    value_bits = 64 - key_bits - index_bits
+    if value_bits < 1:
+        return _lexsort_order(keys, values)
+
+    # One buffer gathers the packed keys, and each temporary is freed before
+    # the next is made: with fewer arrays of n alive at once, the heap keeps
+    # their memory for the next call instead of handing it back to the
+    # kernel, which would fault it in again.
+    packed = (values + 0.0).view(np.int64)
+    flip = packed >> 63
+    flip |= _SIGN
+    packed ^= flip
+    del flip
+    packed = packed.view(np.uint64)
+    packed >>= np.uint64(key_bits + index_bits)
+    packed <<= np.uint64(index_bits)
+    # keys - lo lies in [0, 2**63), which wrapping uint64 arithmetic gets
+    # exactly, whatever the integer type of the keys.
+    high = np.subtract(keys, lo, dtype=np.uint64, casting="unsafe")
+    high <<= np.uint64(value_bits + index_bits)
+    packed |= high
+    del high
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort()
+    packed &= np.uint64((1 << index_bits) - 1)
+    order = packed.view(np.intp)
+
+    in_order = values[order]
+    falls = np.flatnonzero(~(in_order[1:] >= in_order[:-1]))
+    if np.any(keys[order[falls]] == keys[order[falls + 1]]):
+        return _lexsort_order(keys, values)
+    return order, in_order
+
+
+def _lexsort_order(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_sort_by_key_value`` by ``np.lexsort``, where the packed keys cannot settle it."""
+    order = np.lexsort((values, keys))
+    return order, values[order]
 
 
 def project(cloud: PointCloud) -> BevGrid:
@@ -101,40 +150,67 @@ def project(cloud: PointCloud) -> BevGrid:
     if len(cloud) == 0:
         return BevGrid(data, occupancy)
 
-    rows = np.floor((pts[:, 0] + _HALF) / RESOLUTION).astype(np.int64)
-    cols = np.floor((pts[:, 1] + _HALF) / RESOLUTION).astype(np.int64)
-    inside = (rows >= 0) & (rows < GRID_SIZE) & (cols >= 0) & (cols < GRID_SIZE)
-    if not inside.any():
-        return BevGrid(data, occupancy)
-    rows, cols, z = rows[inside], cols[inside], pts[inside, 2]
+    # Cell rows and columns stay floats until the flat index, which is exact
+    # in float: they are whole numbers below GRID_SIZE. Arrays of n are
+    # dropped once spent, as in ``_sort_by_key_value``.
+    rows = pts[:, 0] + _HALF
+    rows /= RESOLUTION
+    np.floor(rows, out=rows)
+    cols = pts[:, 1] + _HALF
+    cols /= RESOLUTION
+    np.floor(cols, out=cols)
+    z = pts[:, 2]
+    if min(rows.min(), cols.min()) < 0.0 or max(rows.max(), cols.max()) >= GRID_SIZE:
+        inside = (rows >= 0.0) & (rows < GRID_SIZE) & (cols >= 0.0) & (cols < GRID_SIZE)
+        if not inside.any():
+            return BevGrid(data, occupancy)
+        rows, cols, z = rows[inside], cols[inside], z[inside]
+    rows *= GRID_SIZE
+    rows += cols
+    flat = rows.astype(np.int64)
+    del rows, cols
 
-    flat = rows * GRID_SIZE + cols
     # Sort points by (cell, z): all statistics then depend only on each
     # cell's multiset of z-values, never on input order.
-    order = key_value_order(flat, z)
-    flat, z = flat[order], z[order]
-    starts = np.flatnonzero(np.r_[True, np.diff(flat) != 0])
-    cells = flat[starts]
-    counts = np.diff(np.r_[starts, flat.size])
+    z = _sort_by_key_value(flat, z)[1]
+    counts = np.bincount(flat, minlength=GRID_SIZE * GRID_SIZE)
+    del flat
+    cells = np.flatnonzero(counts)
+    n = counts[cells]
+    ends = np.cumsum(n)
+    starts = ends - n
 
-    sums = np.add.reduceat(z, starts)
-    means = sums / counts
-    z_max = np.maximum.reduceat(z, starts)
-    z_min = np.minimum.reduceat(z, starts)
-    dev = z - np.repeat(means, counts)
-    var = np.add.reduceat(dev * dev, starts) / counts
+    # Statistics of the occupied cells, one row per channel; when every
+    # cell is occupied they are the grid itself.
+    full = cells.size == GRID_SIZE * GRID_SIZE
+    stats = data.reshape(N_CHANNELS, -1) if full else np.empty((N_CHANNELS, cells.size))
+    z_max, z_min, means, spread, std, density = stats
+    # Each cell's z run is sorted, so its ends are its extremes; only a
+    # zero extreme, which may be held with either sign, needs the reduction
+    # that decides the sign.
+    np.take(z, ends - 1, out=z_max)
+    np.take(z, starts, out=z_min)
+    if not z_max.all():
+        np.maximum.reduceat(z, starts, out=z_max)
+    if not z_min.all():
+        np.minimum.reduceat(z, starts, out=z_min)
+    np.add.reduceat(z, starts, out=means)
+    means /= n
+    dev = np.repeat(means, n)
+    np.subtract(z, dev, out=dev)
+    dev *= dev
+    np.add.reduceat(dev, starts, out=std)
+    std /= n
     # All-identical cells must read exactly zero spread; the float mean
     # of n equal values can be off by an ulp for non-power-of-two n.
-    var[z_max == z_min] = 0.0
+    std[z_max == z_min] = 0.0
+    np.sqrt(std, out=std)
+    np.subtract(z_max, z_min, out=spread)
+    np.divide(n, n.max(), out=density)
 
-    r, c = cells // GRID_SIZE, cells % GRID_SIZE
-    data[CH_MAX, r, c] = z_max
-    data[CH_MIN, r, c] = z_min
-    data[CH_MEAN, r, c] = means
-    data[CH_RANGE, r, c] = z_max - z_min
-    data[CH_STD, r, c] = np.sqrt(var)
-    data[CH_DENSITY, r, c] = counts / counts.max()
-    occupancy[r, c] = True
+    if not full:
+        data.reshape(N_CHANNELS, -1)[:, cells] = stats
+    occupancy = (counts > 0).reshape(GRID_SIZE, GRID_SIZE)
     return BevGrid(data, occupancy)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,14 +61,18 @@ class SensorModel:
             raise ConfigError("sensor_height must be positive")
 
 
-def _lattice(model: SensorModel) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=16)
+def _lattice(window: float, pitch: float) -> tuple[np.ndarray, np.ndarray]:
+    """Robot-frame (u, v) of the lattice points in row-major order; read-only, cached."""
     # Half-pitch offset keeps samples strictly inside grid cells, away
     # from cell-boundary rounding when the cloud is later projected.
-    half = model.window / 2.0
-    n = int(round(model.window / model.sample_pitch))
-    axis = -half + model.sample_pitch * (np.arange(n) + 0.5)
-    u, v = np.meshgrid(axis, axis, indexing="ij")
-    return u.ravel(), v.ravel()
+    half = window / 2.0
+    n = int(round(window / pitch))
+    axis = -half + pitch * (np.arange(n) + 0.5)
+    u, v = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+    u.flags.writeable = False
+    v.flags.writeable = False
+    return u, v
 
 
 # Within this distance below the 1e-9 threshold the margins at the ends
@@ -139,11 +144,25 @@ def _line_of_sight_mask(
     first, last = margin(lo, ds, rise), margin(hi, ds, rise)
     blocked = (first > 1e-9) | (last > 1e-9)
     settled = (first <= 1e-9 - _NEAR_THRESHOLD) & (last <= 1e-9 - _NEAR_THRESHOLD)
-    for i in np.flatnonzero(~blocked & ~settled):
-        run = margin(np.arange(lo[i], hi[i] + 1), ds[i], rise[i])
-        blocked[i] = bool(np.any(run > 1e-9))
+    unsettled = np.flatnonzero(~blocked & ~settled)
+    blocked[unsettled] = _test_whole_runs(
+        margin, lo[unsettled], hi[unsettled], ds[unsettled], rise[unsettled]
+    )
     visible[crossing[blocked]] = False
     return visible
+
+
+def _test_whole_runs(margin, lo, hi, ds, rise) -> np.ndarray:
+    """Whether any riser of its run ``lo..hi`` blocks each ray, riser by riser.
+
+    The per-run fallback of ``_line_of_sight_mask`` for the rays that the
+    ends of their run cannot settle, kept apart so that its share of the
+    rays can be counted.
+    """
+    return np.array(
+        [np.any(margin(np.arange(a, b + 1), d, r) > 1e-9) for a, b, d, r in zip(lo, hi, ds, rise)],
+        dtype=bool,
+    )
 
 
 def scan(
@@ -157,14 +176,16 @@ def scan(
     Every lattice point of the sensing window is transformed to the world,
     queried against the exact heightfield, perturbed with independent
     Gaussian z-noise, and returned in the robot frame with z relative to
-    the robot's current support height. Deterministic per seed.
+    the robot's current support height. Deterministic per seed. The
+    lattice is cached per (window, pitch), and the cloud is written into
+    one (N, 3) array.
     """
     x, y, heading = robot_pose
     if not all(math.isfinite(v) for v in (x, y, heading)):
         raise ValueError("robot pose must be finite")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
-    u, v = _lattice(model)
+    u, v = _lattice(model.window, model.sample_pitch)
     cos_h, sin_h = math.cos(heading), math.sin(heading)
     s = profile._along_axis(x + u * cos_h - v * sin_h, y + u * sin_h + v * cos_h)
     z = profile.height_on_axis(s)
@@ -176,9 +197,13 @@ def scan(
         u, v, z = u[keep], v[keep], z[keep]
 
     if model.noise_sigma_z > 0.0:
-        z = z + rng.normal(0.0, model.noise_sigma_z, size=z.shape)
+        z += rng.normal(0.0, model.noise_sigma_z, size=z.shape)
 
-    cloud = PointCloud(np.column_stack([u, v, z - support]))
+    points = np.empty((z.shape[0], 3))
+    points[:, 0] = u
+    points[:, 1] = v
+    np.subtract(z, support, out=points[:, 2])
+    cloud = PointCloud(points)
     if model.dropout_rate > 0.0:
         cloud = dropout(cloud, model.dropout_rate, rng)
     return cloud

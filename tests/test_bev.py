@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stairlab import bev
 from stairlab.bev import (
     CH_DENSITY,
     CH_MAX,
@@ -19,6 +20,8 @@ from stairlab.bev import (
     read_grid,
     write_grid,
 )
+from stairlab.config import parse_config_text
+from stairlab.experiments import _benchmark_ranges, benchmark_case
 from stairlab.sensor import PointCloud, SensorModel, dropout, scan
 from stairlab.world import ParameterRanges, StairClass, StairSpec, TerrainProfile, generate_stairs
 
@@ -216,6 +219,24 @@ class TestLexsortOracle:
             pts = np.column_stack([rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n), z])
             assert_bits_equal(project(cloud_of(pts)), lexsort_project(cloud_of(pts)))
 
+    def test_grid_edges_and_the_all_inside_path(self):
+        # Coordinates on and one ulp either side of both grid edges, and
+        # clouds that lie wholly inside (no inside mask) or reach out of
+        # the grid by one point on one side.
+        rng = np.random.default_rng(13)
+        edges = [-1.5, np.nextafter(-1.5, 0.0), np.nextafter(-1.5, -2.0), 0.0,
+                 np.nextafter(1.5, 0.0), 1.5, np.nextafter(1.5, 2.0)]
+        xy = np.array([(x, y) for x in edges for y in edges])
+        pts = np.column_stack([xy, rng.normal(0.0, 0.1, len(xy))])
+        assert_bits_equal(project(cloud_of(pts)), lexsort_project(cloud_of(pts)))
+        inside = rng.uniform(-1.5, 1.4999, (2000, 3))
+        assert_bits_equal(project(cloud_of(inside)), lexsort_project(cloud_of(inside)))
+        for axis in (0, 1):
+            for value in (np.nextafter(-1.5, -2.0), 1.5):
+                out = inside.copy()
+                out[7, axis] = value
+                assert_bits_equal(project(cloud_of(out)), lexsort_project(cloud_of(out)))
+
     @pytest.mark.parametrize(
         "zs",
         [
@@ -243,11 +264,30 @@ class TestLexsortOracle:
         )
 
 
+def lexsort_fallbacks(monkeypatch) -> list:
+    """Spy on the packed sort's fallback; the list holds the size of each input it took."""
+    calls = []
+    fallback = bev._lexsort_order
+
+    def spy(keys, values):
+        calls.append(values.shape[0])
+        return fallback(keys, values)
+
+    monkeypatch.setattr(bev, "_lexsort_order", spy)
+    return calls
+
+
+def assert_lexsort_order(keys, values):
+    order = key_value_order(keys, values)
+    assert order.dtype == np.intp
+    assert np.array_equal(order, np.lexsort((values, keys)))
+
+
 class TestKeyValueOrder:
     @pytest.mark.parametrize("key_span", [3, 3600, 70_000, 5_000_000])
     def test_matches_lexsort(self, key_span):
-        # Spans of 8, 16, 32 and 32 bits after the shift, negative keys
-        # included, and values with duplicates and zeros of both signs.
+        # Negative keys included, and values with duplicates and zeros of
+        # both signs: the permutation is lexsort's, ties in input order.
         rng = np.random.default_rng(key_span)
         keys = rng.integers(-key_span // 2, key_span - key_span // 2, 4000)
         values = np.where(
@@ -255,15 +295,94 @@ class TestKeyValueOrder:
             rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], 4000),
             rng.normal(0.0, 1.0, 4000),
         )
-        order = key_value_order(keys, values)
-        oracle = np.lexsort((values, keys))
-        # Equal non-zero values may swap places; their bits cannot tell.
-        assert np.array_equal(keys[order], keys[oracle])
-        assert values[order].tobytes() == values[oracle].tobytes()
-        assert np.array_equal(np.sort(order), np.arange(4000))
+        assert_lexsort_order(keys, values)
 
     def test_single_element(self):
         assert key_value_order(np.array([5]), np.array([-0.0])).tolist() == [0]
+
+    def test_empty_input(self):
+        order = key_value_order(np.empty(0, dtype=np.int64), np.empty(0))
+        assert order.dtype == np.intp and order.shape == (0,)
+
+    @staticmethod
+    def ulp_steps(n):
+        """``n`` consecutive floats from 0.1 up, which share all but their last bits."""
+        return (np.float64(0.1).view(np.int64) + np.arange(n)).view(np.float64)
+
+    def test_shared_value_prefix_in_rising_order_is_exact(self, monkeypatch):
+        # Values one ulp apart share every bit the key leaves them; rising
+        # in input order, the index field orders them right.
+        fallbacks = lexsort_fallbacks(monkeypatch)
+        keys = np.arange(50) % 4
+        assert_lexsort_order(keys, self.ulp_steps(50))
+        assert fallbacks == []
+
+    def test_shared_value_prefix_in_falling_order_takes_the_fallback(self, monkeypatch):
+        # Falling in input order, a value falls within its key, and lexsort decides.
+        fallbacks = lexsort_fallbacks(monkeypatch)
+        keys = np.arange(50) % 4
+        assert_lexsort_order(keys, self.ulp_steps(50)[::-1].copy())
+        assert fallbacks == [50]
+
+    @pytest.mark.parametrize("zeros", [["-0.0"], ["0.0"], ["-0.0", "0.0"]])
+    def test_signed_zeros_keep_input_order(self, monkeypatch, zeros):
+        fallbacks = lexsort_fallbacks(monkeypatch)
+        rng = np.random.default_rng(len(zeros))
+        values = np.array([float(z) for z in zeros] + [-0.25, 0.5])[rng.integers(0, len(zeros) + 2, 3000)]
+        keys = rng.integers(0, 40, 3000)
+        assert_lexsort_order(keys, values)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("n", [2**k + d for k in (1, 4, 10, 15) for d in (-1, 0, 1)])
+    def test_sizes_around_powers_of_two(self, n):
+        # The index field takes ceil(log2 n) bits.
+        rng = np.random.default_rng(n)
+        keys = rng.integers(0, 3600, n)
+        values = np.round(rng.normal(0.0, 0.3, n), 2)
+        assert_lexsort_order(keys, values)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0, 2**40), (-(2**45), 2**45), (0, 2**49), (-(2**63), 2**63 - 1)],
+        ids=["40-bit", "46-bit", "no-value-bit", "int64"],
+    )
+    def test_wide_key_spans(self, monkeypatch, lo, hi):
+        # Few or no bits left for the value: ties of the value prefix,
+        # then no room at all, where lexsort decides.
+        fallbacks = lexsort_fallbacks(monkeypatch)
+        rng = np.random.default_rng(7)
+        few = rng.choice(np.array([lo, hi, lo // 2 + hi // 2], dtype=np.int64), 10_000)
+        keys = np.concatenate([few, rng.integers(lo, hi, 10_000, endpoint=True)])
+        keys = keys[rng.permutation(20_000)]
+        values = rng.normal(0.0, 1.0, 20_000)
+        assert_lexsort_order(keys, values)
+        if hi - lo >= 2**49:
+            assert fallbacks == [20_000]
+
+    def test_non_finite_values(self):
+        rng = np.random.default_rng(3)
+        pool = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 1.0])
+        for n in (1, 2, 5, 200):
+            keys = rng.integers(0, 3, n)
+            assert_lexsort_order(keys, pool[rng.integers(0, pool.size, n)])
+
+    def test_unsigned_and_small_keys(self):
+        rng = np.random.default_rng(4)
+        values = rng.normal(0.0, 1.0, 500)
+        for dtype in (np.uint8, np.int16, np.uint64):
+            assert_lexsort_order(rng.integers(0, 200, 500).astype(dtype), values)
+
+    def test_perceive_corpus_takes_no_fallback(self, monkeypatch, tmp_path):
+        # Flights drawn as the estimator benchmark draws them, with and
+        # without occlusion and dropout: the packed keys settle every sort
+        # of project and of the profile.
+        fallbacks = lexsort_fallbacks(monkeypatch)
+        for extra in ("", "[sensor]\nocclusion = true\n[benchmark]\ndropout = 0.1\n"):
+            cfg = parse_config_text(extra, tmp_path)
+            ranges = _benchmark_ranges(cfg)
+            for case_seed in np.random.SeedSequence(5).spawn(30):
+                benchmark_case(cfg, ranges, case_seed)
+        assert fallbacks == []
 
 
 class TestGridFile:
