@@ -8,8 +8,10 @@ margin of a riser ends the episode as a failure, crossing the final riser
 
 Observation modes expose increasing amounts of terrain information:
 proprioception only (blind), a forward height scan, or the explicit
-terrain token (from the privileged teacher or an estimator) followed by
-the along-axis distance to the next riser ahead.
+terrain token and the along-axis distance to the next riser ahead. The
+env does the dynamics only; tokens and supervision samples come from its
+``tokens.TokenFeed`` (teacher, estimators, sensing) on the env's RNG, and
+learned tokens need the ``estimator_net`` (an ``nn.Mlp``) the env is built with.
 
 A step makes no numpy call on scalar data. Heights, the edge test and
 the next-riser distance use ``math.floor``/``ceil`` and ``min``/``max`` on
@@ -30,25 +32,12 @@ from enum import Enum
 
 import numpy as np
 
-from .bev import EXTENT, BevGrid, project
+from .bev import EXTENT
 from .errors import ConfigError
-from .estimator import (
-    EstimatorConfig,
-    estimate_token,
-    estimate_yaw,
-    riser_ahead_on_axis,
-    wrap_ahead,
-)
-from .nn import Mlp, pool_bev
-from .sensor import SensorModel, scan
-from .world import (
-    StairClass,
-    StairSpec,
-    TerrainProfile,
-    TerrainToken,
-    ground_truth_token,
-    wrap_pi,
-)
+from .estimator import EstimatorConfig
+from .sensor import SensorModel
+from .tokens import TokenFeed, TokenSource
+from .world import StairClass, StairSpec, TerrainProfile, wrap_pi
 
 STRIDE_BOUNDS = (0.10, 0.50)
 CLEARANCE_BOUNDS = (0.0, 0.30)
@@ -65,12 +54,6 @@ class ObsMode(str, Enum):
     BLIND = "blind"
     HEIGHTSCAN = "heightscan"
     TOKEN = "token"
-
-
-class TokenSource(str, Enum):
-    GROUND_TRUTH = "ground_truth"
-    ANALYTIC = "analytic"
-    LEARNED = "learned"
 
 
 OBS_DIM = {ObsMode.BLIND: 6, ObsMode.HEIGHTSCAN: 23, ObsMode.TOKEN: 13}
@@ -188,10 +171,10 @@ def _arc_samples(n: int) -> np.ndarray:
 class StepperEnv:
     """Single stepper instance; owns its RNG, deterministic per seed."""
 
-    def __init__(self, cfg: EnvConfig, seed, estimator_net: Mlp | None = None):
+    def __init__(self, cfg: EnvConfig, seed, estimator_net=None):
         self.cfg = cfg
-        self._rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        self._estimator_net = estimator_net
+        self._rng = np.random.default_rng(seed)
+        self._tokens = TokenFeed(cfg, self._rng, estimator_net)
         self.spec: StairSpec | None = None
         self.done = True
 
@@ -231,12 +214,7 @@ class StepperEnv:
         self._sum_abs_heading = 0.0
         self._return = 0.0
         self._last_event = "none"
-        self._token_cache: TerrainToken | None = None
-        self._token_cache_t = -1
-        self._riser_cache = 0.0
-        self._riser_cache_s = self.s
-        self._features_cache: np.ndarray | None = None
-        self._features_cache_t = -1
+        self._tokens.reset()
         self.trace_rows: list[dict] = []
         self.last_obs = self.observe()
         return self.last_obs
@@ -460,88 +438,13 @@ class StepperEnv:
             if self.cfg.heightscan_noise > 0.0:
                 heights = heights + self._rng.normal(0.0, self.cfg.heightscan_noise, heights.shape)
             return np.array(row + heights.tolist())
-        token, next_riser = self._token()
+        token, next_riser = self._tokens.token(self)
         cls = _ONE_HOT[token.stair_class]
         return np.array(row + [*cls, token.h_step, token.d_step, token.theta, next_riser])
 
-    def _token(self) -> tuple[TerrainToken, float]:
-        """Terrain token and the along-axis distance to the next riser ahead.
-
-        The distance is 0 whenever the token is flat. The teacher reads it
-        from the spec; the estimators take it from the risers detected in
-        the sensed grid and carry it forward by the along-axis advance
-        between senses, wrapped by the token's step depth.
-        """
-        cfg = self.cfg
-        if cfg.token_source == TokenSource.GROUND_TRUTH:
-            px, py, heading = self.world_pose
-            gt = ground_truth_token(self.spec, heading, (px, py), cfg.sensor.window)
-            token = self._perturb_token(gt)
-            next_riser = self._next_riser(self.s)
-        else:
-            token = self._estimated_token()
-            next_riser = self._riser_cache
-            if next_riser > 0.0:
-                next_riser = wrap_ahead(next_riser - (self.s - self._riser_cache_s), token.d_step)
-        return token, 0.0 if token.stair_class == StairClass.FLAT else next_riser
-
-    def _estimated_token(self) -> TerrainToken:
-        cfg = self.cfg
-        if self._token_cache is None or self.t - self._token_cache_t >= cfg.token_refresh:
-            grid = self._sense_grid()
-            if cfg.token_source == TokenSource.ANALYTIC:
-                est = estimate_token(grid, cfg.estimator)
-                token, next_riser = est.token, est.next_riser
-            else:
-                if self._estimator_net is None:
-                    raise ConfigError("learned token source requires an estimator net")
-                feats = pool_bev(grid)
-                self._features_cache = feats
-                self._features_cache_t = self.t
-                logits = self._estimator_net(feats[None, :])
-                cls = StairClass(int(np.argmax(logits[0, :3])))
-                h = float(logits[0, 3])
-                d = float(logits[0, 4])
-                yaw = estimate_yaw(grid, cfg.estimator)
-                next_riser = riser_ahead_on_axis(grid, yaw, cfg.estimator)
-                if cls == StairClass.FLAT:
-                    h = d = 0.0
-                token = TerrainToken(cls, max(h, 0.0), max(d, 0.0), wrap_pi(-yaw))
-            self._token_cache = token
-            self._token_cache_t = self.t
-            self._riser_cache = next_riser
-            self._riser_cache_s = self.s
-        return self._token_cache
-
-    def _perturb_token(self, token: TerrainToken) -> TerrainToken:
-        cfg = self.cfg
-        if cfg.token_noise_h == 0.0 and cfg.token_noise_d == 0.0 and cfg.token_flip_p == 0.0:
-            return token
-        h, d, cls = token.h_step, token.d_step, token.stair_class
-        if token.stair_class != StairClass.FLAT:
-            if cfg.token_noise_h > 0.0:
-                h = max(0.0, h + float(self._rng.normal(0.0, cfg.token_noise_h)))
-            if cfg.token_noise_d > 0.0:
-                d = max(0.0, d + float(self._rng.normal(0.0, cfg.token_noise_d)))
-        if cfg.token_flip_p > 0.0 and self._rng.random() < cfg.token_flip_p:
-            others = [c for c in StairClass if c != cls]
-            cls = others[int(self._rng.integers(len(others)))]
-            if cls == StairClass.FLAT:
-                h = d = 0.0
-        return TerrainToken(cls, h, d, token.theta)
-
-    def _sense_grid(self) -> BevGrid:
-        seed = int(self._rng.integers(0, 2**63 - 1))
-        return project(scan(self.profile, self.world_pose, self.cfg.sensor, seed))
-
     def supervision_sample(self) -> tuple[np.ndarray, int, float, float]:
         """Pooled BEV features of the current pose plus teacher labels."""
-        if self._features_cache_t != self.t or self._features_cache is None:
-            self._features_cache = pool_bev(self._sense_grid())
-            self._features_cache_t = self.t
-        px, py, heading = self.world_pose
-        gt = ground_truth_token(self.spec, heading, (px, py), self.cfg.sensor.window)
-        return self._features_cache, int(gt.stair_class), gt.h_step, gt.d_step
+        return self._tokens.supervision_sample(self)
 
 
 def max_passable_height(rates: Iterable[tuple[float, float]]) -> float:

@@ -25,6 +25,7 @@ from .nn import save_mlp
 from .ppo import (
     CURVE_COLUMNS,
     GaussianPolicy,
+    as_seed_sequence,
     evaluate_policy,
     load_policy,
     save_policy,
@@ -141,12 +142,7 @@ def benchmark_case(
     cfg: ExperimentConfig, ranges: ParameterRanges, case_seed
 ) -> tuple[StairSpec, TokenEstimate, dict]:
     """One benchmark draw: world, scan, estimate; returns error terms."""
-    seq = (
-        case_seed
-        if isinstance(case_seed, np.random.SeedSequence)
-        else np.random.SeedSequence(case_seed)
-    )
-    spec_seed, scan_seed, drop_seed = seq.spawn(3)
+    spec_seed, scan_seed, drop_seed = as_seed_sequence(case_seed).spawn(3)
     spec = generate_stairs(np.random.default_rng(spec_seed), ranges)
     profile = TerrainProfile(spec)
     pose = _start_pose(spec)

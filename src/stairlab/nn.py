@@ -20,8 +20,6 @@ POOL = 4
 POOLED_SIDE = GRID_SIZE // POOL
 FEATURE_DIM = N_CHANNELS * POOLED_SIDE * POOLED_SIDE
 
-ESTIMATOR_HEADS = {"logits": slice(0, 3), "h": slice(3, 4), "d": slice(4, 5)}
-
 
 def pool_bev(grid: BevGrid) -> np.ndarray:
     """4x4 average pooling per channel, flattened channel-major (length 1350)."""
@@ -32,24 +30,23 @@ def pool_bev(grid: BevGrid) -> np.ndarray:
 class Mlp:
     """Fully connected net, tanh hidden activations, linear output layer.
 
-    ``heads`` names slices of the output vector; forward/backward operate
-    on batches (B, n_in). backward consumes the cache returned by forward.
+    forward/backward operate on batches (B, n_in). backward consumes the
+    cache returned by forward.
     """
 
-    def __init__(self, sizes, weights, biases, heads=None):
+    def __init__(self, sizes, weights, biases):
         self.sizes = list(sizes)
         self.weights = weights  # list of (n_out, n_in)
         self.biases = biases  # list of (n_out,)
-        self.heads = dict(heads or {})
 
     @classmethod
-    def create(cls, sizes, rng: np.random.Generator, heads=None) -> "Mlp":
+    def create(cls, sizes, rng: np.random.Generator) -> "Mlp":
         weights, biases = [], []
         for n_in, n_out in zip(sizes[:-1], sizes[1:]):
             bound = np.sqrt(6.0 / (n_in + n_out))
             weights.append(rng.uniform(-bound, bound, size=(n_out, n_in)))
             biases.append(np.zeros(n_out))
-        return cls(sizes, weights, biases, heads)
+        return cls(sizes, weights, biases)
 
     def forward(self, x: np.ndarray):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -79,9 +76,6 @@ class Mlp:
                 delta = (delta @ self.weights[i]) * (1.0 - activations[i] ** 2)
         return grads
 
-    def head(self, out: np.ndarray, name: str) -> np.ndarray:
-        return out[:, self.heads[name]]
-
     def params(self) -> dict:
         p = {}
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -95,10 +89,9 @@ class Mlp:
             self.biases[i] = p[f"b{i}"]
 
 
-def forward_estimator(net: Mlp, features: np.ndarray):
-    """Estimator heads: (class logits (B,3), h_hat (B,), d_hat (B,))."""
-    out = net(features)
-    return net.head(out, "logits"), net.head(out, "h")[:, 0], net.head(out, "d")[:, 0]
+def estimator_heads(out: np.ndarray):
+    """The estimator's (B, 5) output as (class logits (B, 3), h_hat (B,), d_hat (B,))."""
+    return out[:, :3], out[:, 3], out[:, 4]
 
 
 @dataclass(frozen=True)
@@ -217,7 +210,7 @@ def save_mlp(path, net: Mlp) -> None:
             fh.write(b.astype("<f8").tobytes(order="C"))
 
 
-def load_mlp(path, heads=None) -> Mlp:
+def load_mlp(path) -> Mlp:
     """Read a checkpoint; a damaged one raises ValueError naming ``path``.
 
     The header must hold at least two layer sizes, the file must be
@@ -244,8 +237,8 @@ def load_mlp(path, heads=None) -> Mlp:
         offset += n_out * n_in
         biases.append(params[offset : offset + n_out].copy())
         offset += n_out
-    return Mlp(sizes, weights, biases, heads)
+    return Mlp(sizes, weights, biases)
 
 
 def build_estimator_net(rng: np.random.Generator, hidden: int = 128) -> Mlp:
-    return Mlp.create([FEATURE_DIM, hidden, 5], rng, heads=ESTIMATOR_HEADS)
+    return Mlp.create([FEATURE_DIM, hidden, 5], rng)

@@ -32,7 +32,7 @@ from .nn import (
     TerrainLossWeights,
     adam_step,
     build_estimator_net,
-    forward_estimator,
+    estimator_heads,
     load_mlp,
     save_mlp,
     terrain_loss,
@@ -91,7 +91,7 @@ class WorldSampler:
 
     def __init__(self, ranges: ParameterRanges, seed):
         self.ranges = ranges
-        self._rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        self._rng = np.random.default_rng(seed)
 
     def __call__(self) -> StairSpec:
         return generate_stairs(self._rng, self.ranges)
@@ -108,7 +108,7 @@ class GaussianPolicy:
 
     def __init__(self, obs_dim: int, rng: np.random.Generator, hidden=(64, 64)):
         self.obs_dim = obs_dim
-        self.actor = Mlp.create([obs_dim, *hidden, 3], rng, heads={"mean": slice(0, 3)})
+        self.actor = Mlp.create([obs_dim, *hidden, 3], rng)
         self.critic = Mlp.create([obs_dim, *hidden, 1], rng)
         self.log_std = np.log(INIT_STD_FRACTION * _ACTION_SPAN)
 
@@ -192,7 +192,7 @@ def collect(
     val_buf = np.empty((t_max + 1, n))
     done_buf = np.zeros((t_max, n))
     episodes: list[EpisodeRecord] = []
-    sup_feats, sup_cls, sup_h, sup_d = [], [], [], []
+    samples = []
 
     for env, sampler in zip(envs, samplers):
         if env.done or env.spec is None:
@@ -209,11 +209,7 @@ def collect(
         val_buf[t] = values
         for i, env in enumerate(envs):
             if collect_supervision and env.t % env.cfg.token_refresh == 0:
-                feats, gt_cls, gt_h, gt_d = env.supervision_sample()
-                sup_feats.append(feats)
-                sup_cls.append(gt_cls)
-                sup_h.append(gt_h)
-                sup_d.append(gt_d)
+                samples.append(env.supervision_sample())
             _, reward, done, _ = env.step(actions[i])
             rew_buf[t, i] = reward
             done_buf[t, i] = float(done)
@@ -224,7 +220,8 @@ def collect(
     val_buf[t_max] = policy.value(obs)
 
     batch = RolloutBatch(obs_buf, act_buf, logp_buf, rew_buf, val_buf, done_buf, episodes)
-    if sup_feats:
+    if samples:
+        sup_feats, sup_cls, sup_h, sup_d = zip(*samples)
         batch.sup_features = np.stack(sup_feats)
         batch.sup_class = np.asarray(sup_cls, dtype=int)
         batch.sup_h = np.asarray(sup_h)
@@ -371,14 +368,12 @@ def estimator_update(
     epochs: int = 1,
 ) -> float:
     """Adam steps on alpha * mean terrain loss; returns the pre-update loss."""
-    logits, h_hat, d_hat = forward_estimator(estimator, features)
+    logits, h_hat, d_hat = estimator_heads(estimator(features))
     initial = float(terrain_loss(logits, h_hat, d_hat, gt_class, gt_h, gt_d, weights).mean())
     m = features.shape[0]
     for _ in range(epochs):
         out, acts = estimator.forward(features)
-        logits = out[:, :3]
-        h_hat = out[:, 3]
-        d_hat = out[:, 4]
+        logits, h_hat, d_hat = estimator_heads(out)
         d_logits, d_h, d_d = terrain_loss_grad(
             logits, h_hat, d_hat, gt_class, gt_h, gt_d, weights
         )
@@ -428,14 +423,15 @@ def _curve_row(update: int, stats: dict, episodes: list[EpisodeRecord]) -> dict:
     }
 
 
-def _as_seedseq(seed) -> np.random.SeedSequence:
+def as_seed_sequence(seed) -> np.random.SeedSequence:
+    """``seed`` itself if it is a ``SeedSequence``, else a new one from it."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(seed)
 
 
 def _spawn_rngs(seed, n: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(s) for s in _as_seedseq(seed).spawn(n)]
+    return [np.random.default_rng(s) for s in as_seed_sequence(seed).spawn(n)]
 
 
 def make_ensemble(
@@ -501,7 +497,7 @@ def train_policy(
     seed: int,
 ) -> TrainResult:
     """Plain PPO from a fresh policy; stage 1 of ``train_three_stage``."""
-    init_seed, collect_seed, update_seed, env_seed = _as_seedseq(seed).spawn(4)
+    init_seed, collect_seed, update_seed, env_seed = as_seed_sequence(seed).spawn(4)
     policy = GaussianPolicy(OBS_DIM[env_cfg.obs_mode], np.random.default_rng(init_seed))
     envs, samplers = make_ensemble(env_cfg, ranges, ppo_cfg.n_envs, env_seed)
     curves = _train_stage(
@@ -519,7 +515,7 @@ def train_three_stage(
     seed: int,
 ) -> TrainResult:
     """Teacher-token pretraining, supervised estimator training, joint stage."""
-    seeds = _as_seedseq(seed).spawn(6)
+    seeds = as_seed_sequence(seed).spawn(6)
     n1, n2, n3 = train_cfg.stage1_updates, train_cfg.stage2_updates, train_cfg.stage3_updates
 
     # Stage 1: policy learns from ground-truth tokens.
@@ -586,7 +582,7 @@ def save_policy(directory, policy: GaussianPolicy) -> None:
 def load_policy(directory) -> GaussianPolicy:
     """Read a saved policy; damaged or mismatched files raise ValueError naming the path."""
     directory = Path(directory)
-    actor = load_mlp(directory / "actor.mlp1", heads={"mean": slice(0, 3)})
+    actor = load_mlp(directory / "actor.mlp1")
     critic = load_mlp(directory / "critic.mlp1")
     if actor.sizes[-1] != 3 or critic.sizes[-1] != 1 or critic.sizes[0] != actor.sizes[0]:
         raise ValueError(

@@ -183,7 +183,7 @@ def scan(
     x, y, heading = robot_pose
     if not all(math.isfinite(v) for v in (x, y, heading)):
         raise ValueError("robot pose must be finite")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     u, v = _lattice(model.window, model.sample_pitch)
     cos_h, sin_h = math.cos(heading), math.sin(heading)
@@ -213,6 +213,6 @@ def dropout(cloud: PointCloud, rate: float, seed) -> PointCloud:
     """Remove each point independently with probability ``rate``; order preserved."""
     if not 0.0 <= rate <= 1.0:
         raise ConfigError(f"dropout rate must lie in [0, 1], got {rate}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     keep = rng.random(len(cloud)) >= rate
     return PointCloud(cloud.points[keep])

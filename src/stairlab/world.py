@@ -199,12 +199,6 @@ class ParameterRanges:
                 raise ConfigError("h_choices outside generation caps")
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 @functools.cache
 def _class_cdf(weights: tuple[float, float, float]) -> np.ndarray:
     """Cumulative class probabilities, built as ``Generator.choice(3, p=...)`` builds them.
@@ -226,7 +220,7 @@ def generate_stairs(seed, ranges: ParameterRanges) -> StairSpec:
     given seed always yields the same spec. A flat class draw forces
     h_step = d_step = 0.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     cdf = _class_cdf(tuple(ranges.class_weights))
     stair_class = StairClass(int(cdf.searchsorted(rng.random(), side="right")))
     if ranges.h_choices is not None:

@@ -29,7 +29,6 @@ from stairlab.experiments import (
     cmd_train,
 )
 from stairlab.nn import (
-    ESTIMATOR_HEADS,
     FEATURE_DIM,
     Mlp,
     TerrainLossWeights,
@@ -236,7 +235,7 @@ def test_criterion_5_gradient_checks():
 
     for _ in range(10):
         # Estimator heads through the terrain loss.
-        net = Mlp.create([40, 16, 5], rng, heads=ESTIMATOR_HEADS)
+        net = Mlp.create([40, 16, 5], rng)
         x = rng.normal(size=(2, 40))
         gt_cls = rng.integers(0, 3, size=2)
         gt_h = rng.uniform(0.1, 0.2, size=2)

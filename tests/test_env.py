@@ -437,12 +437,7 @@ class FrozenStepper(StepperEnv):
         self._sum_abs_verr = 0.0
         self._sum_abs_heading = 0.0
         self._return = 0.0
-        self._token_cache = None
-        self._token_cache_t = -1
-        self._riser_cache = 0.0
-        self._riser_cache_s = self.s
-        self._features_cache = None
-        self._features_cache_t = -1
+        self._tokens.reset()
         self.trace_rows = []
         self.last_obs = self.observe()
         return self.last_obs
@@ -597,10 +592,7 @@ class FrozenStepper(StepperEnv):
             token = self._perturb_token(token)
             next_riser = self.profile.next_riser_distance(self.s)
         else:
-            token = self._estimated_token()
-            next_riser = self._riser_cache
-            if next_riser > 0.0:
-                next_riser = wrap_ahead(next_riser - (self.s - self._riser_cache_s), token.d_step)
+            return self._tokens.token(self)
         return token, 0.0 if token.stair_class == StairClass.FLAT else next_riser
 
     def _perturb_token(self, token):

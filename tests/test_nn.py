@@ -7,13 +7,12 @@ from stairlab.bev import BevGrid, GRID_SIZE, N_CHANNELS
 from stairlab.errors import TrainingError
 from stairlab.nn import (
     AdamState,
-    ESTIMATOR_HEADS,
     FEATURE_DIM,
     Mlp,
     TerrainLossWeights,
     adam_step,
     build_estimator_net,
-    forward_estimator,
+    estimator_heads,
     load_mlp,
     pool_bev,
     save_mlp,
@@ -119,7 +118,7 @@ class TestMlpForward:
 
     def test_estimator_heads(self):
         net = build_estimator_net(np.random.default_rng(4), hidden=8)
-        logits, h, d = forward_estimator(net, np.zeros((2, FEATURE_DIM)))
+        logits, h, d = estimator_heads(net(np.zeros((2, FEATURE_DIM))))
         assert logits.shape == (2, 3)
         assert h.shape == (2,) and d.shape == (2,)
 
@@ -182,7 +181,7 @@ class TestBackward:
         # Full terrain loss through a 1350 -> 32 -> 8 net; the first five
         # outputs feed the loss heads, the rest are unused.
         rng = np.random.default_rng(7)
-        net = Mlp.create([FEATURE_DIM, 32, 8], rng, heads=ESTIMATOR_HEADS)
+        net = Mlp.create([FEATURE_DIM, 32, 8], rng)
         x = rng.normal(scale=0.3, size=(1, FEATURE_DIM))
         gt_cls = np.array([1])
         gt_h = np.array([0.14])
@@ -266,10 +265,10 @@ class TestAdam:
 class TestCheckpoint:
     def test_round_trip_bits(self, tmp_path):
         rng = np.random.default_rng(11)
-        net = Mlp.create([7, 5, 3], rng, heads={"a": slice(0, 3)})
+        net = Mlp.create([7, 5, 3], rng)
         path = tmp_path / "net.mlp1"
         save_mlp(path, net)
-        loaded = load_mlp(path, heads={"a": slice(0, 3)})
+        loaded = load_mlp(path)
         assert loaded.sizes == net.sizes
         for w1, w2 in zip(net.weights, loaded.weights):
             assert np.array_equal(w1, w2)

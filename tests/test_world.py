@@ -6,7 +6,6 @@ import pytest
 from stairlab.errors import ConfigError
 from stairlab.world import (
     MAX_STEP_HEIGHT,
-    _as_rng,
     ParameterRanges,
     StairClass,
     StairSpec,
@@ -28,7 +27,7 @@ def spec_from_text(text: str) -> StairSpec:
 
 def frozen_generate_stairs(seed, ranges: ParameterRanges) -> StairSpec:
     """Oracle: ``generate_stairs`` as it was, drawing the class with ``rng.choice``."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     weights = np.asarray(ranges.class_weights, dtype=float)
     weights = weights / weights.sum()
     stair_class = StairClass(int(rng.choice(3, p=weights)))
