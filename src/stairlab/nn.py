@@ -3,6 +3,21 @@ multi-task terrain loss, and an Adam optimizer.
 
 Everything is plain float64 numpy with deterministic, order-fixed
 reductions so identical seeds reproduce identical parameters bit for bit.
+
+Each ``Mlp`` keeps a small workspace of preallocated arrays per batch row
+count, for its most recent ``WORKSPACE_ROWS`` row counts. ``forward``
+writes every layer's output into it, and ``backward`` its back-propagated
+deltas and tanh slopes. A (512, 64) float64 temporary is 256 KB, above
+glibc's mmap threshold, and the allocator hands such memory back to the
+kernel once it is freed, so a fresh temporary per layer made every
+minibatch of a PPO update fault its pages in again. The workspace runs
+the same operations in the same order with ``out=`` and in-place forms,
+so every result stays the same bit for bit. The contract:
+
+- ``net(x)`` returns a fresh array;
+- ``backward`` returns fresh gradient arrays;
+- the output and activations that ``forward`` returns stay valid until
+  the next ``forward`` on the same net with the same row count.
 """
 
 from __future__ import annotations
@@ -31,13 +46,17 @@ class Mlp:
     """Fully connected net, tanh hidden activations, linear output layer.
 
     forward/backward operate on batches (B, n_in). backward consumes the
-    cache returned by forward.
+    activations returned by forward. Both work in the net's workspace
+    (see the module docstring for what stays valid).
     """
+
+    WORKSPACE_ROWS = 2  # np.array_split makes at most two minibatch sizes
 
     def __init__(self, sizes, weights, biases):
         self.sizes = list(sizes)
         self.weights = weights  # list of (n_out, n_in)
         self.biases = biases  # list of (n_out,)
+        self._workspace: dict[int, _Workspace] = {}  # least recently used first
 
     @classmethod
     def create(cls, sizes, rng: np.random.Generator) -> "Mlp":
@@ -48,32 +67,47 @@ class Mlp:
             biases.append(np.zeros(n_out))
         return cls(sizes, weights, biases)
 
+    def _buffers(self, rows: int) -> "_Workspace":
+        ws = self._workspace.pop(rows, None)
+        if ws is None:
+            if len(self._workspace) >= self.WORKSPACE_ROWS:
+                del self._workspace[next(iter(self._workspace))]
+            ws = _Workspace(rows, self.sizes)
+        self._workspace[rows] = ws
+        return ws
+
     def forward(self, x: np.ndarray):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.sizes[0]:
             raise ValueError(f"input width {x.shape[1]} != expected {self.sizes[0]}")
+        outs = self._buffers(x.shape[0]).outs
         activations = [x]
         a = x
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            a = z if i == last else np.tanh(z)
+        for i, (w, b, z) in enumerate(zip(self.weights, self.biases, outs)):
+            np.matmul(a, w.T, out=z)
+            z += b
+            a = z if i == last else np.tanh(z, out=z)
             activations.append(a)
         return a, activations
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
+        return self.forward(x)[0].copy()
 
     def backward(self, activations, dout: np.ndarray) -> dict:
         """Gradients of a scalar loss given d(loss)/d(output) per sample."""
         grads = {}
         delta = np.atleast_2d(dout)
+        ws = self._buffers(delta.shape[0])
         for i in range(len(self.weights) - 1, -1, -1):
             a_in = activations[i]
             grads[f"W{i}"] = delta.T @ a_in
             grads[f"b{i}"] = delta.sum(axis=0)
             if i > 0:
-                delta = (delta @ self.weights[i]) * (1.0 - activations[i] ** 2)
+                slope = np.square(a_in, out=ws.slopes[i])
+                np.subtract(1.0, slope, out=slope)
+                delta = np.matmul(delta, self.weights[i], out=ws.deltas[i])
+                delta *= slope
         return grads
 
     def params(self) -> dict:
@@ -87,6 +121,18 @@ class Mlp:
         for i in range(len(self.weights)):
             self.weights[i] = p[f"W{i}"]
             self.biases[i] = p[f"b{i}"]
+
+
+class _Workspace:
+    """One row count's arrays: each layer's output, and each hidden layer's delta and slope."""
+
+    __slots__ = ("outs", "deltas", "slopes")
+
+    def __init__(self, rows: int, sizes) -> None:
+        self.outs = [np.empty((rows, n)) for n in sizes[1:]]
+        # Indexed like activations; index 0 (the input) needs neither.
+        self.deltas = [None] + [np.empty((rows, n)) for n in sizes[1:-1]]
+        self.slopes = [None] + [np.empty((rows, n)) for n in sizes[1:-1]]
 
 
 def estimator_heads(out: np.ndarray):

@@ -65,6 +65,14 @@ class PpoConfig:
             raise ConfigError("gamma and gae_lambda must lie in [0, 1]")
         if self.clip <= 0.0:
             raise ConfigError("clip must be positive")
+        for name in ("epochs", "minibatches", "horizon", "n_envs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.minibatches > self.n_envs * self.horizon:
+            raise ConfigError(
+                f"minibatches {self.minibatches} exceeds the {self.n_envs * self.horizon} "
+                "rows of a batch (n_envs x horizon)"
+            )
 
 
 @dataclass(frozen=True)
@@ -82,6 +90,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be non-negative")
         if self.stage1_updates + self.stage2_updates + self.stage3_updates == 0:
             raise ConfigError("at least one stage needs a positive update budget")
+        if self.stage2_epochs < 0:
+            raise ConfigError(f"stage2_epochs must be non-negative, got {self.stage2_epochs}")
         if self.estimator_lr <= 0:
             raise ConfigError("estimator_lr must be positive")
 
@@ -367,13 +377,19 @@ def estimator_update(
     alpha: float = 1.0,
     epochs: int = 1,
 ) -> float:
-    """Adam steps on alpha * mean terrain loss; returns the pre-update loss."""
-    logits, h_hat, d_hat = estimator_heads(estimator(features))
+    """Adam steps on alpha * mean terrain loss; returns the pre-update loss.
+
+    The pre-update loss comes from epoch 0's forward pass, which runs on
+    the parameters as they were passed in.
+    """
+    out, acts = estimator.forward(features)
+    logits, h_hat, d_hat = estimator_heads(out)
     initial = float(terrain_loss(logits, h_hat, d_hat, gt_class, gt_h, gt_d, weights).mean())
     m = features.shape[0]
-    for _ in range(epochs):
-        out, acts = estimator.forward(features)
-        logits, h_hat, d_hat = estimator_heads(out)
+    for epoch in range(epochs):
+        if epoch > 0:
+            out, acts = estimator.forward(features)
+            logits, h_hat, d_hat = estimator_heads(out)
         d_logits, d_h, d_d = terrain_loss_grad(
             logits, h_hat, d_hat, gt_class, gt_h, gt_d, weights
         )

@@ -440,6 +440,40 @@ class TestLearnedTokensRejected:
         assert not (tmp_path / "out").exists()
 
 
+class TestUpdateCountsRejected:
+    """Update counts that cannot run fail `train` with one line naming the key, before any rollout."""
+
+    @pytest.mark.parametrize(
+        "section, setting, message",
+        [
+            ("[ppo]\n", "minibatches = 0", "minibatches must be positive, got 0"),
+            (
+                "[ppo]\n",
+                "minibatches = 64",
+                "minibatches 64 exceeds the 32 rows of a batch (n_envs x horizon)",
+            ),
+            ("[ppo]\n", "epochs = 0", "epochs must be positive, got 0"),
+            ("[train]\n", "stage2_epochs = -1", "stage2_epochs must be non-negative, got -1"),
+        ],
+    )
+    def test_one_error_line(self, tmp_path, capsys, monkeypatch, section, setting, message):
+        from stairlab import ppo
+
+        def no_rollout(*args, **kwargs):
+            raise AssertionError("collected before rejecting the config")
+
+        monkeypatch.setattr(ppo, "collect", no_rollout)
+        monkeypatch.delenv("STAIRLAB_OUT", raising=False)
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(TINY_TRAIN.replace(section, f"{section}{setting}\n"))
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "train"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+
 class TestTrainReadsPerceptionAndLossSettings:
     """[sensor], [estimator] and [loss] reach the rollouts and updates of `train`."""
 

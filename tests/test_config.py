@@ -282,3 +282,33 @@ def test_split_keys_apply_together():
     cfg = parse_config_text("[world]\nh_min = 0.2\nh_max = 0.25\norigin_x = 0.5\n", base_dir=None)
     assert cfg.world.h_step == (0.2, 0.25)
     assert cfg.world.origin_x == (0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[ppo]\nminibatches = 0\n", "minibatches must be positive, got 0"),
+        ("[ppo]\nminibatches = -2\n", "minibatches must be positive, got -2"),
+        ("[ppo]\nepochs = 0\n", "epochs must be positive, got 0"),
+        ("[ppo]\nepochs = -1\n", "epochs must be positive, got -1"),
+        ("[ppo]\nn_envs = 0\n", "n_envs must be positive, got 0"),
+        ("[ppo]\nhorizon = 0\n", "horizon must be positive, got 0"),
+        (
+            "[ppo]\nn_envs = 2\nhorizon = 16\nminibatches = 64\n",
+            "minibatches 64 exceeds the 32 rows of a batch (n_envs x horizon)",
+        ),
+        ("[train]\nstage2_epochs = -1\n", "stage2_epochs must be non-negative, got -1"),
+    ],
+)
+def test_update_counts_rejected(text, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(text, base_dir=None)
+    assert str(exc.value) == message
+
+
+def test_update_count_edges_accepted():
+    cfg = parse_config_text(
+        "[ppo]\nn_envs = 2\nhorizon = 16\nminibatches = 32\nepochs = 1\n[train]\nstage2_epochs = 0\n",
+        base_dir=None,
+    )
+    assert (cfg.ppo.minibatches, cfg.ppo.epochs, cfg.train.stage2_epochs) == (32, 1, 0)

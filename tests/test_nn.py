@@ -1,9 +1,13 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stairlab.bev import BevGrid, GRID_SIZE, N_CHANNELS
+from stairlab.config import default_config
+from stairlab.env import OBS_DIM, TokenSource
 from stairlab.errors import TrainingError
 from stairlab.nn import (
     AdamState,
@@ -21,6 +25,7 @@ from stairlab.nn import (
     terrain_loss,
     terrain_loss_grad,
 )
+from stairlab.ppo import GaussianPolicy, collect, make_ensemble, ppo_update
 
 
 def empty_grid() -> BevGrid:
@@ -282,3 +287,177 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + bytes(16))
         with pytest.raises(ValueError, match="MLP1"):
             load_mlp(path)
+
+
+class FrozenMlp(Mlp):
+    """Oracle: ``forward`` and ``backward`` in their allocating form, with a
+    fresh array for every layer output, delta and slope."""
+
+    def forward(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        activations = [x]
+        a = x
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = a @ w.T + b
+            a = z if i == last else np.tanh(z)
+            activations.append(a)
+        return a, activations
+
+    def backward(self, activations, dout):
+        grads = {}
+        delta = np.atleast_2d(dout)
+        for i in range(len(self.weights) - 1, -1, -1):
+            a_in = activations[i]
+            grads[f"W{i}"] = delta.T @ a_in
+            grads[f"b{i}"] = delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ self.weights[i]) * (1.0 - activations[i] ** 2)
+        return grads
+
+
+def frozen(net: Mlp) -> FrozenMlp:
+    return FrozenMlp(net.sizes, [w.copy() for w in net.weights], [b.copy() for b in net.biases])
+
+
+def assert_bits_equal(a, b) -> None:
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def ppo_batch():
+    """A policy and its 16 x 128 teacher-token rollout under the default config."""
+    cfg = default_config()
+    assert (cfg.ppo.n_envs, cfg.ppo.horizon, cfg.env.token_source) == (16, 128, TokenSource.GROUND_TRUTH)
+    envs, samplers = make_ensemble(cfg.env, cfg.world, cfg.ppo.n_envs, 3)
+    rng = np.random.default_rng(0)
+    policy = GaussianPolicy(OBS_DIM[cfg.env.obs_mode], rng)
+    return policy, collect(envs, samplers, policy, cfg.ppo, rng), cfg.ppo
+
+
+class TestWorkspaceBitIdentity:
+    """The workspace runs the frozen operations in the same order: every bit matches."""
+
+    @pytest.mark.parametrize(
+        "sizes, row_counts",
+        [
+            ([13, 64, 64, 3], (512, 512)),
+            ([13, 64, 64, 1], (512, 512)),
+            ([FEATURE_DIM, 128, 5], (1, 37, 88, 37, 1)),
+        ],
+    )
+    def test_outputs_activations_and_gradients(self, sizes, row_counts):
+        rng = np.random.default_rng(20)
+        net = Mlp.create(sizes, rng)
+        oracle = frozen(net)
+        # Repeated row counts run on buffers the workspace already holds.
+        for rows in row_counts:
+            x = rng.normal(scale=0.5, size=(rows, sizes[0]))
+            dout = rng.normal(size=(rows, sizes[-1]))
+            out, acts = net.forward(x)
+            ref_out, ref_acts = oracle.forward(x)
+            assert_bits_equal(out, ref_out)
+            assert len(acts) == len(ref_acts)
+            for a, ref in zip(acts, ref_acts):
+                assert_bits_equal(a, ref)
+            grads = net.backward(acts, dout)
+            ref_grads = oracle.backward(ref_acts, dout)
+            assert grads.keys() == ref_grads.keys()
+            for k in grads:
+                assert_bits_equal(grads[k], ref_grads[k])
+
+    def test_ppo_update_parameters(self):
+        live, batch, cfg = ppo_batch()
+        ref = GaussianPolicy.__new__(GaussianPolicy)
+        ref.obs_dim, ref.log_std = live.obs_dim, live.log_std.copy()
+        ref.actor, ref.critic = frozen(live.actor), frozen(live.critic)
+        for policy in (live, ref):
+            adam, rng = AdamState(lr=cfg.learning_rate), np.random.default_rng(21)
+            for _ in range(2):
+                ppo_update(policy, batch, cfg, adam, rng)
+        live_params, ref_params = live.params(), ref.params()
+        assert live_params.keys() == ref_params.keys()
+        for k in live_params:
+            assert_bits_equal(live_params[k], ref_params[k])
+
+
+def largest_line_allocation(fn, *args) -> int:
+    """Bytes of the most new memory live at once between two traced events of ``fn``.
+
+    Every line, call and return in every Python frame is an event, so a
+    block of B bytes made and freed within one line reads at least B.
+    """
+    worst = base = 0
+
+    def trace(frame, event, arg):
+        nonlocal worst, base
+        current, peak = tracemalloc.get_traced_memory()
+        worst = max(worst, peak - base)
+        tracemalloc.reset_peak()
+        base = current
+        return trace
+
+    previous = sys.gettrace()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sys.settrace(trace)
+        try:
+            fn(*args)
+        finally:
+            sys.settrace(previous)
+    finally:
+        tracemalloc.stop()
+    return worst
+
+
+class TestWorkspaceContract:
+    def test_call_returns_a_fresh_array(self):
+        rng = np.random.default_rng(22)
+        net = Mlp.create([6, 8, 4], rng)
+        x = rng.normal(size=(5, 6))
+        first = net(x)
+        kept = first.copy()
+        net(rng.normal(size=(5, 6)))
+        net.forward(rng.normal(size=(5, 6)))
+        assert_bits_equal(first, kept)
+
+    def test_gradients_survive_a_second_backward(self):
+        rng = np.random.default_rng(23)
+        net = Mlp.create([6, 8, 8, 4], rng)
+        out, acts = net.forward(rng.normal(size=(5, 6)))
+        grads = net.backward(acts, out)
+        kept = {k: g.copy() for k, g in grads.items()}
+        out, acts = net.forward(rng.normal(size=(5, 6)))
+        net.backward(acts, out)
+        for k in kept:
+            assert_bits_equal(grads[k], kept[k])
+
+    def test_activations_survive_a_forward_at_another_row_count(self):
+        rng = np.random.default_rng(24)
+        net = Mlp.create([6, 8, 4], rng)
+        out, acts = net.forward(rng.normal(size=(5, 6)))
+        kept = [a.copy() for a in [out, *acts]]
+        net.forward(rng.normal(size=(7, 6)))
+        for a, ref in zip([out, *acts], kept):
+            assert_bits_equal(a, ref)
+
+    def test_workspace_is_bounded(self):
+        # The estimator meets a new supervision row count in nearly every batch.
+        rng = np.random.default_rng(25)
+        net = Mlp.create([6, 8, 4], rng)
+        for rows in range(1, 201):
+            out, acts = net.forward(rng.normal(size=(rows, 6)))
+            net.backward(acts, out)
+            assert len(net._workspace) <= Mlp.WORKSPACE_ROWS
+        assert sorted(net._workspace) == [199, 200]
+
+    def test_ppo_update_makes_no_large_temporary(self):
+        # After warm-up, no line of an update holds 128 KB of new memory at
+        # once; a (512, 64) float64 temporary alone is 256 KB. numpy reports
+        # its data buffers to tracemalloc, so this reads the same everywhere.
+        policy, batch, cfg = ppo_batch()
+        adam, rng = AdamState(lr=cfg.learning_rate), np.random.default_rng(26)
+        ppo_update(policy, batch, cfg, adam, rng)
+        assert largest_line_allocation(ppo_update, policy, batch, cfg, adam, rng) < 128 * 1024

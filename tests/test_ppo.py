@@ -6,7 +6,7 @@ import pytest
 
 from stairlab.env import EnvConfig, ObsMode, OBS_DIM, StepperEnv, TokenSource
 from stairlab.errors import ConfigError
-from stairlab.nn import AdamState, TerrainLossWeights, build_estimator_net
+from stairlab.nn import AdamState, Mlp, TerrainLossWeights, build_estimator_net
 from stairlab.ppo import (
     GaussianPolicy,
     PpoConfig,
@@ -359,6 +359,28 @@ class TestJointUpdate:
                 )
             )
         assert losses[-1] <= losses[0] / 10.0
+
+
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_estimator_update_forward_passes(self, monkeypatch, epochs):
+        # Epoch 0's forward pass also yields the pre-update loss: one pass per
+        # epoch, and one with no epoch at all.
+        rng = np.random.default_rng(17)
+        estimator = build_estimator_net(rng, hidden=8)
+        features = rng.normal(scale=0.2, size=(12, 1350))
+        labels = rng.integers(0, 3, size=12), rng.uniform(0.1, 0.2, 12), rng.uniform(0.25, 0.35, 12)
+        expected = estimator_update(
+            build_estimator_net(np.random.default_rng(17), hidden=8), features, *labels,
+            TerrainLossWeights(), AdamState(lr=1e-2), epochs=0,
+        )
+        calls = []
+        forward = Mlp.forward
+        monkeypatch.setattr(Mlp, "forward", lambda net, x: calls.append(len(x)) or forward(net, x))
+        loss = estimator_update(
+            estimator, features, *labels, TerrainLossWeights(), AdamState(lr=1e-2), epochs=epochs
+        )
+        assert calls == [12] * max(epochs, 1)
+        assert loss == expected
 
 
 class TestTraining:
