@@ -1,7 +1,7 @@
 """stairlab: stair-geometry perception and geometry-conditioned stepping policies."""
 
 from .bev import BevGrid, project, read_grid, write_grid
-from .env import Action, EnvConfig, EpisodeRecord, EvalMetrics, ObsMode, StepperEnv, TokenSource
+from .env import EnvConfig, EpisodeRecord, EvalMetrics, ObsMode, StepperEnv, TokenSource
 from .errors import ConfigError, StairlabError, TrainingError
 from .estimator import EstimatorConfig, TokenEstimate, estimate_token
 from .nn import Mlp, TerrainLossWeights, pool_bev, terrain_loss
@@ -21,7 +21,6 @@ from .world import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action",
     "BevGrid",
     "ConfigError",
     "EnvConfig",

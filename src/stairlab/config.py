@@ -23,7 +23,7 @@ from enum import Enum
 from pathlib import Path
 
 from .env import EnvConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_counts
 from .ppo import PpoConfig, TrainConfig
 from .sensor import SensorModel
 from .world import ParameterRanges
@@ -33,6 +33,10 @@ from .world import ParameterRanges
 class RunConfig:
     seeds: tuple[int, ...] = (1, 2, 3)
     out_dir: str = "runs"
+
+    def __post_init__(self) -> None:
+        if not self.seeds:
+            raise ConfigError("[run] seeds must list at least one seed")
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,11 @@ class AblationConfig:
     success_threshold: float = 0.8
     success_window: int = 10
 
+    def __post_init__(self) -> None:
+        check_counts(
+            self, "[ablation] ", updates=0, eval_episodes=1, terrain_episodes=1, success_window=1
+        )
+
 
 @dataclass(frozen=True)
 class GeneralizeConfig:
@@ -64,6 +73,9 @@ class GeneralizeConfig:
     eval_heights: tuple[float, ...] = (0.12, 0.14, 0.16, 0.18, 0.20, 0.22)
     episodes: int = 100
     modes: tuple[str, ...] = ("token", "blind")
+
+    def __post_init__(self) -> None:
+        check_counts(self, "[generalize] ", updates=0, episodes=1)
 
 
 @dataclass(frozen=True)
@@ -74,6 +86,12 @@ class TrackConfig:
     d_step: float = 0.30
     n_steps: int = 400
     policy_dir: str = ""
+
+    def __post_init__(self) -> None:
+        check_counts(self, "[track] ", updates=0)
+        times = [t for t, _ in self.schedule]
+        if times[0] < 0 or times != sorted(set(times)):
+            raise ConfigError(f"[track] schedule times must be >= 0 and strictly increasing: {times}")
 
 
 @dataclass(frozen=True)

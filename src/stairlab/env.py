@@ -16,7 +16,7 @@ learned tokens need the ``estimator_net`` (an ``nn.Mlp``) the env is built with.
 A step makes no numpy call on scalar data. Heights, the edge test and
 the next-riser distance use ``math.floor``/``ceil`` and ``min``/``max`` on
 the same IEEE operations as ``TerrainProfile.height_on_axis`` and
-``riser_positions``, so every observation, reward and trace row is bit for
+``riser_positions``, so every observation, reward and event is bit for
 bit what the array queries give. The swing arc's samples are the one
 array: a cached ``linspace`` per sample count, with the terrain under it
 computed in place.
@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .bev import EXTENT
-from .errors import ConfigError
+from .errors import ConfigError, check_counts
 from .estimator import EstimatorConfig
 from .sensor import SensorModel
 from .tokens import TokenFeed, TokenSource
@@ -60,13 +60,6 @@ OBS_DIM = {ObsMode.BLIND: 6, ObsMode.HEIGHTSCAN: 23, ObsMode.TOKEN: 13}
 
 HEIGHTSCAN_SAMPLES = 17
 HEIGHTSCAN_SPACING = 0.10
-
-
-@dataclass(frozen=True)
-class Action:
-    stride: float
-    clearance: float
-    dheading: float
 
 
 @dataclass(frozen=True)
@@ -100,10 +93,7 @@ class EnvConfig:
     estimator: EstimatorConfig = EstimatorConfig()
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
-        if self.token_refresh < 1:
-            raise ConfigError("token_refresh must be >= 1")
+        check_counts(self, "[env] ", horizon=1, token_refresh=1)
         if not 0.0 <= self.token_flip_p <= 1.0:
             raise ConfigError("token_flip_p must lie in [0, 1]")
         if self.sensor.window > EXTENT:
@@ -203,7 +193,6 @@ class StepperEnv:
         self.last_dh = 0.0
         self.prev_action = (0.0, 0.0, 0.0)
         self.t = 0
-        self.step_count = 0
         self.done = False
         self._goal_s = self.s + self.cfg.flat_goal if flat else self._d * (self._n_risers - 1)
         if self.cfg.command_schedule is None:
@@ -215,7 +204,6 @@ class StepperEnv:
         self._return = 0.0
         self._last_event = "none"
         self._tokens.reset()
-        self.trace_rows: list[dict] = []
         self.last_obs = self.observe()
         return self.last_obs
 
@@ -295,21 +283,21 @@ class StepperEnv:
 
     # -- dynamics ----------------------------------------------------------
 
-    def step(self, action) -> tuple[np.ndarray, float, bool, dict]:
-        """Advance one decision; returns (obs, reward, done, info).
+    def step(self, action) -> tuple[np.ndarray, float, bool, str]:
+        """Advance one decision; returns (obs, reward, done, event).
 
-        ``action`` is an ``Action`` or three numbers (stride, clearance,
-        dheading); each is clamped to its bounds. Failure modes: the swing
-        arc sampling below terrain (scuff) and landing within the edge
-        margin of a riser line. Both terminate with the terminal penalty;
-        crossing the goal line terminates with the terminal bonus.
+        ``action`` is any three numbers (stride, clearance, dheading), as an
+        array, list, tuple or (1, 3) array; each is clamped to its bounds.
+        ``event`` is "none" or what ended the episode: "scuff" (the swing arc
+        sampling below terrain) or "edge" (landing within the edge margin of
+        a riser line), both with the terminal penalty, "success" (crossing
+        the goal line) with the terminal bonus, or "timeout" at the horizon.
+        The env keeps no per-step history: a caller that wants a trace
+        reads the env's state around each step, as ``cmd_track`` does.
         """
         if self.done:
             raise RuntimeError("step() called on a finished episode; call reset()")
-        if isinstance(action, Action):
-            stride, clearance, dheading = action.stride, action.clearance, action.dheading
-        else:
-            stride, clearance, dheading = np.asarray(action, dtype=float).reshape(3).tolist()
+        stride, clearance, dheading = np.asarray(action, dtype=float).reshape(3).tolist()
         stride = min(max(stride, STRIDE_BOUNDS[0]), STRIDE_BOUNDS[1])
         clearance = min(max(clearance, CLEARANCE_BOUNDS[0]), CLEARANCE_BOUNDS[1])
         dheading = min(max(dheading, DHEADING_BOUNDS[0]), DHEADING_BOUNDS[1])
@@ -341,7 +329,7 @@ class StepperEnv:
                 gap = min(gap, abs(s_new - d * k))
             on_edge = gap < cfg.edge_margin
 
-        # State advances even on a terminal step so the trace shows it.
+        # State advances even on a terminal step, so it shows where the episode ended.
         self.s = s_new
         self.lat += stride * math.sin(he_new)
         self.heading_err = he_new
@@ -350,11 +338,9 @@ class StepperEnv:
         v_inst = ds / cfg.step_dt
         alpha = cfg.v_avg_alpha
         self.v_avg = (1.0 - alpha) * self.v_avg + alpha * v_inst
-        self.step_count += 1
         self.prev_action = (stride, clearance, dheading)
 
         w = cfg.reward
-        v_cmd_used = self.v_cmd
         verr = (self.v_avg - self.v_cmd) / w.tracking_scale
         reward = (
             w.velocity * math.exp(-verr * verr)
@@ -364,7 +350,6 @@ class StepperEnv:
         )
 
         event = "none"
-        success = False
         if scuffed:
             event = "scuff"
             reward -= w.terminal_bonus
@@ -376,7 +361,6 @@ class StepperEnv:
         elif s_new > self._goal_s:
             event = "success"
             reward += w.terminal_bonus
-            success = True
             self.done = True
 
         self._sum_abs_verr += abs(self.v_avg - self.v_cmd)
@@ -390,31 +374,14 @@ class StepperEnv:
         self.v_cmd = self._command_at(self.t)
         self._last_event = event
 
-        self.trace_rows.append(
-            {
-                "time": self.t - 1,
-                "s": self.s,
-                "support_height": self.support_height,
-                "v_cmd": v_cmd_used,
-                "v_avg": self.v_avg,
-                "heading_err": self.heading_err,
-                "stride": stride,
-                "clearance": clearance,
-                "dheading": dheading,
-                "reward": reward,
-                "event": event,
-            }
-        )
-
         obs = self.observe() if not self.done else np.zeros(OBS_DIM[cfg.obs_mode])
         self.last_obs = obs
-        info = {"event": event, "success": success, "s": self.s}
-        return obs, reward, self.done, info
+        return obs, reward, self.done, event
 
     def episode_record(self) -> EpisodeRecord:
-        n = max(1, self.step_count)
+        n = max(1, self.t)
         return EpisodeRecord(
-            length=self.step_count,
+            length=self.t,
             return_=self._return,
             success=self._last_event == "success",
             event=self._last_event,

@@ -166,14 +166,10 @@ def cmd_benchmark_estimator(cfg: ExperimentConfig, out_root: Path) -> dict:
     base = np.random.SeedSequence(cfg.run.seeds[0])
     case_seeds = base.spawn(cfg.benchmark.n_configs)
 
-    detail_rows = []
-    h_errs, d_errs, t_errs, cls_ok = [], [], [], []
+    detail_rows, errs = [], []
     for i, case_seed in enumerate(case_seeds):
         spec, est, err = benchmark_case(cfg, ranges, case_seed)
-        h_errs.append(err["h_err"])
-        d_errs.append(err["d_err"])
-        t_errs.append(err["theta_err"])
-        cls_ok.append(err["class_ok"])
+        errs.append(err)
         gt = err["gt"]
         detail_rows.append(
             {
@@ -195,10 +191,10 @@ def cmd_benchmark_estimator(cfg: ExperimentConfig, out_root: Path) -> dict:
         "noise_sigma_z": cfg.env.sensor.noise_sigma_z,
         "dropout": cfg.benchmark.dropout,
         "sensor_dropout": cfg.env.sensor.dropout_rate,
-        "mae_h_m": float(np.mean(h_errs)),
-        "mae_d_m": float(np.mean(d_errs)),
-        "mae_theta_deg": float(np.degrees(np.mean(t_errs))),
-        "class_accuracy": float(np.mean(cls_ok)),
+        "mae_h_m": float(np.mean([e["h_err"] for e in errs])),
+        "mae_d_m": float(np.mean([e["d_err"] for e in errs])),
+        "mae_theta_deg": float(np.degrees(np.mean([e["theta_err"] for e in errs]))),
+        "class_accuracy": float(np.mean([e["class_ok"] for e in errs])),
     }
     write_csv(out_root / "benchmark_estimator.csv", tuple(summary.keys()), [summary], cfg)
     write_csv(
@@ -399,13 +395,11 @@ def cmd_track(cfg: ExperimentConfig, out_root: Path) -> list[dict]:
     env = StepperEnv(env_cfg, np.random.SeedSequence(entropy=(seed, 4242)))
     obs = env.reset(spec)
     done = False
+    rows = []
     while not done:
+        v_cmd = env.v_cmd
         obs, _, done, _ = env.step(policy.mean_action(obs)[0])
-
-    rows = [
-        {"time": r["time"], "v_cmd": r["v_cmd"], "v_measured": r["v_avg"]}
-        for r in env.trace_rows
-    ]
+        rows.append({"time": env.t - 1, "v_cmd": v_cmd, "v_measured": env.v_avg})
     write_csv(out / "track.csv", ("time", "v_cmd", "v_measured"), rows, cfg)
     return rows
 

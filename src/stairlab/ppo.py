@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .env import ACTION_HIGH, ACTION_LOW, OBS_DIM, EnvConfig, EpisodeRecord, StepperEnv, TokenSource
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, TrainingError, check_counts
 from .nn import (
     AdamState,
     Mlp,
@@ -65,9 +65,7 @@ class PpoConfig:
             raise ConfigError("gamma and gae_lambda must lie in [0, 1]")
         if self.clip <= 0.0:
             raise ConfigError("clip must be positive")
-        for name in ("epochs", "minibatches", "horizon", "n_envs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        check_counts(self, epochs=1, minibatches=1, horizon=1, n_envs=1)
         if self.minibatches > self.n_envs * self.horizon:
             raise ConfigError(
                 f"minibatches {self.minibatches} exceeds the {self.n_envs * self.horizon} "
@@ -85,13 +83,9 @@ class TrainConfig:
     loss: TerrainLossWeights = TerrainLossWeights()
 
     def __post_init__(self) -> None:
-        for name in ("stage1_updates", "stage2_updates", "stage3_updates"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+        check_counts(self, stage1_updates=0, stage2_updates=0, stage3_updates=0, stage2_epochs=0)
         if self.stage1_updates + self.stage2_updates + self.stage3_updates == 0:
             raise ConfigError("at least one stage needs a positive update budget")
-        if self.stage2_epochs < 0:
-            raise ConfigError(f"stage2_epochs must be non-negative, got {self.stage2_epochs}")
         if self.estimator_lr <= 0:
             raise ConfigError("estimator_lr must be positive")
 
@@ -420,23 +414,13 @@ class TrainResult:
 
 
 def _curve_row(update: int, stats: dict, episodes: list[EpisodeRecord]) -> dict:
+    nan = float("nan")
+    row = {"update": update, "mean_reward": nan, "success_rate": nan, "E_vel": nan}
     if episodes:
-        mean_reward = float(np.mean([e.return_ for e in episodes]))
-        success_rate = float(np.mean([e.success for e in episodes]))
-        e_vel = float(np.mean([e.mean_abs_verr for e in episodes]))
-    else:
-        mean_reward = success_rate = e_vel = float("nan")
-    return {
-        "update": update,
-        "mean_reward": mean_reward,
-        "success_rate": success_rate,
-        "E_vel": e_vel,
-        "policy_loss": stats.get("policy_loss", float("nan")),
-        "value_loss": stats.get("value_loss", float("nan")),
-        "terrain_loss": stats.get("terrain_loss", float("nan")),
-        "clip_frac": stats.get("clip_frac", float("nan")),
-        "kl": stats.get("kl", float("nan")),
-    }
+        row["mean_reward"] = float(np.mean([e.return_ for e in episodes]))
+        row["success_rate"] = float(np.mean([e.success for e in episodes]))
+        row["E_vel"] = float(np.mean([e.mean_abs_verr for e in episodes]))
+    return row | {key: stats.get(key, nan) for key in CURVE_COLUMNS[len(row):]}
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:

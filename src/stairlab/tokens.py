@@ -8,9 +8,10 @@ yaw and the next riser from the grid's geometry. The estimators refresh
 at every env step ``t`` with ``t % token_refresh == 0`` (``observe`` runs
 at every step, from reset on) and carry the next-riser distance forward
 between refreshes by the along-axis advance, wrapped by the step depth.
-A step senses at most once: the token and a supervision sample at the
-same step share one grid, one pooling and one seed drawn from the env's
-generator, which every draw comes from, in the order the env asks.
+A step senses and estimates at most once: the token and a supervision
+sample at the same step share one grid, one pooling and one seed drawn
+from the env's generator, which every draw comes from, in the order the
+env asks. The features are kept once pooled, the grid is not.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ class TokenFeed:
         self.cfg = cfg
         self._rng = rng
         self._net = estimator_net
-        self._sense: tuple[int, BevGrid, np.ndarray | None] | None = None  # (t, grid, features)
-        self._held: tuple[TerrainToken, float, float] | None = None  # (token, riser, s) at refresh
+        # (t, grid until pooled, features once pooled) of the last sense.
+        self._sense: tuple[int, BevGrid | None, np.ndarray | None] | None = None
+        self._held: tuple[TerrainToken, float, float, int] | None = None  # (token, riser, s, t)
 
     def reset(self) -> None:
         self._sense = self._held = None
@@ -58,9 +60,10 @@ class TokenFeed:
             token = self._perturb(self._teacher(env))
             next_riser = env._next_riser(env.s)
         else:
-            if env.t % self.cfg.token_refresh == 0:
-                self._held = (*self._estimate(env), env.s)
-            token, next_riser, s_sensed = self._held
+            due = env.t % self.cfg.token_refresh == 0
+            if due and (self._held is None or self._held[3] != env.t):
+                self._held = (*self._estimate(env), env.s, env.t)
+            token, next_riser, s_sensed, _ = self._held
             if next_riser > 0.0:
                 next_riser = wrap_ahead(next_riser - (env.s - s_sensed), token.d_step)
         return token, 0.0 if token.stair_class == StairClass.FLAT else next_riser
@@ -68,29 +71,35 @@ class TokenFeed:
     def supervision_sample(self, env: StepperEnv) -> tuple[np.ndarray, int, float, float]:
         """Pooled BEV features of the env's pose plus teacher labels."""
         gt = self._teacher(env)
-        return self._sensed(env, pooled=True)[1], int(gt.stair_class), gt.h_step, gt.d_step
+        return self._features(env), int(gt.stair_class), gt.h_step, gt.d_step
 
     def _teacher(self, env: StepperEnv) -> TerrainToken:
         pose = env.world_pose
         return ground_truth_token(env.spec, pose[2], pose[:2], self.cfg.sensor.window)
 
-    def _sensed(self, env: StepperEnv, pooled: bool = False) -> tuple[BevGrid, np.ndarray | None]:
-        """The grid sensed at the env's step, and its features if ``pooled``; each made once."""
-        t, grid, features = self._sense or (None, None, None)
-        if t != env.t:
+    def _grid(self, env: StepperEnv) -> BevGrid:
+        """The grid sensed at the env's step; sensed anew if the step has none, or only pooled."""
+        t, grid, _ = self._sense or (None, None, None)
+        if t != env.t or grid is None:
             seed = int(self._rng.integers(0, 2**63 - 1))
-            grid, features = project(scan(env.profile, env.world_pose, self.cfg.sensor, seed)), None
-        if pooled and features is None:
-            features = pool_bev(grid)
-        self._sense = (env.t, grid, features)
-        return grid, features
+            grid = project(scan(env.profile, env.world_pose, self.cfg.sensor, seed))
+            self._sense = (env.t, grid, None)
+        return grid
+
+    def _features(self, env: StepperEnv) -> np.ndarray:
+        """The pooled features of the step's grid, made once; the grid is dropped."""
+        t, _, features = self._sense or (None, None, None)
+        if t != env.t or features is None:
+            features = pool_bev(self._grid(env))
+        self._sense = (env.t, None, features)
+        return features
 
     def _estimate(self, env: StepperEnv) -> tuple[TerrainToken, float]:
         cfg = self.cfg
         if cfg.token_source == TokenSource.ANALYTIC:
-            est = estimate_token(self._sensed(env)[0], cfg.estimator)
+            est = estimate_token(self._grid(env), cfg.estimator)
             return est.token, est.next_riser
-        grid, features = self._sensed(env, pooled=True)
+        grid, features = self._grid(env), self._features(env)
         logits, h, d = estimator_heads(self._net(features[None, :]))
         cls = StairClass(int(np.argmax(logits[0])))
         h, d = (0.0, 0.0) if cls == StairClass.FLAT else (float(h[0]), float(d[0]))

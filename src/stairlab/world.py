@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
@@ -80,19 +80,10 @@ class StairSpec:
             raise ConfigError("stair_yaw must lie in (-pi, pi]")
 
     def to_text(self) -> str:
-        """Serialize as flat key-value text (SI units, radians)."""
-        lines = [
-            f"class = {int(self.stair_class)}",
-            f"h_step = {self.h_step!r}",
-            f"d_step = {self.d_step!r}",
-            f"stair_yaw = {self.stair_yaw!r}",
-            f"n_steps = {self.n_steps}",
-            f"lead_flat = {self.lead_flat!r}",
-            f"tail_flat = {self.tail_flat!r}",
-            f"origin_x = {self.origin_x!r}",
-            f"origin_y = {self.origin_y!r}",
-        ]
-        return "\n".join(lines) + "\n"
+        """Serialize as flat key-value text, one field per line (SI units, radians)."""
+        pairs = [("class", int(self.stair_class))]
+        pairs += [(f.name, getattr(self, f.name)) for f in fields(self)[1:]]
+        return "".join(f"{key} = {value!r}\n" for key, value in pairs)
 
 
 @dataclass(frozen=True)

@@ -474,6 +474,46 @@ class TestUpdateCountsRejected:
         assert not (tmp_path / "out").exists()
 
 
+class TestExperimentSettingsRejected:
+    """Bad [run], [ablation], [generalize] and [track] settings fail in one line, writing nothing."""
+
+    @pytest.mark.parametrize(
+        "command, old, new, message",
+        [
+            ("ablation", "seeds = 1,2", "seeds =", "[run] seeds must list at least one seed"),
+            (
+                "ablation",
+                "eval_episodes = 4",
+                "eval_episodes = 0",
+                "[ablation] eval_episodes must be positive, got 0",
+            ),
+            (
+                "generalize",
+                "\nepisodes = 4",
+                "\nepisodes = 0",
+                "[generalize] episodes must be positive, got 0",
+            ),
+            (
+                "track",
+                "[train]",
+                "[track]\nschedule = 60:0.4,0:0.2\n[train]",
+                "[track] schedule times must be >= 0 and strictly increasing: [60, 0]",
+            ),
+        ],
+    )
+    def test_one_error_line(self, tmp_path, capsys, monkeypatch, command, old, new, message):
+        monkeypatch.delenv("STAIRLAB_OUT", raising=False)
+        assert TINY_TRAIN.count(old) == 1
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(TINY_TRAIN.replace(old, new))
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), command])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+
 class TestTrainReadsPerceptionAndLossSettings:
     """[sensor], [estimator] and [loss] reach the rollouts and updates of `train`."""
 

@@ -312,3 +312,57 @@ def test_update_count_edges_accepted():
         base_dir=None,
     )
     assert (cfg.ppo.minibatches, cfg.ppo.epochs, cfg.train.stage2_epochs) == (32, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[run]\nseeds =\n", "[run] seeds must list at least one seed"),
+        ("[ablation]\nupdates = -1\n", "[ablation] updates must be non-negative, got -1"),
+        ("[ablation]\neval_episodes = 0\n", "[ablation] eval_episodes must be positive, got 0"),
+        (
+            "[ablation]\nterrain_episodes = 0\n",
+            "[ablation] terrain_episodes must be positive, got 0",
+        ),
+        ("[ablation]\nsuccess_window = 0\n", "[ablation] success_window must be positive, got 0"),
+        ("[generalize]\nupdates = -3\n", "[generalize] updates must be non-negative, got -3"),
+        ("[generalize]\nepisodes = 0\n", "[generalize] episodes must be positive, got 0"),
+        ("[track]\nupdates = -1\n", "[track] updates must be non-negative, got -1"),
+    ],
+)
+def test_experiment_counts_rejected(text, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(text, base_dir=None)
+    assert str(exc.value) == message
+
+
+def test_experiment_count_edges_accepted():
+    cfg = parse_config_text(
+        "[run]\nseeds = 7\n[ablation]\nupdates = 0\neval_episodes = 1\nterrain_episodes = 1\n"
+        "success_window = 1\n[generalize]\nupdates = 0\nepisodes = 1\n[track]\nupdates = 0\n",
+        base_dir=None,
+    )
+    assert cfg.run.seeds == (7,)
+    ablation = cfg.ablation
+    assert (ablation.updates, ablation.eval_episodes, ablation.success_window) == (0, 1, 1)
+    assert (cfg.generalize.episodes, cfg.track.updates) == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "schedule, times",
+    [
+        ("60:0.4,0:0.2", [60, 0]),  # out of order: the 60 s entry would never apply
+        ("0:0.2,30:0.3,30:0.4", [0, 30, 30]),
+        ("-5:0.2,10:0.3", [-5, 10]),
+    ],
+)
+def test_track_schedule_must_increase(schedule, times):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(f"[track]\nschedule = {schedule}\n", base_dir=None)
+    message = f"[track] schedule times must be >= 0 and strictly increasing: {times}"
+    assert str(exc.value) == message
+
+
+def test_track_schedule_increasing_accepted():
+    cfg = parse_config_text("[track]\nschedule = 5:0.2,6:0.3,100:0.25\n", base_dir=None)
+    assert cfg.track.schedule == ((5, 0.2), (6, 0.3), (100, 0.25))

@@ -14,7 +14,6 @@ from stairlab.env import (
     OBS_DIM,
     STRIDE_BOUNDS,
     _SCUFF_EPS,
-    Action,
     EnvConfig,
     EpisodeRecord,
     ObsMode,
@@ -24,8 +23,11 @@ from stairlab.env import (
     max_passable_height,
     metrics,
 )
+from stairlab import tokens
+from stairlab.bev import BevGrid
 from stairlab.errors import ConfigError
 from stairlab.estimator import EstimatorConfig, wrap_ahead
+from stairlab.nn import Mlp, build_estimator_net
 from stairlab.sensor import SensorModel
 from stairlab.world import (
     StairClass,
@@ -97,16 +99,16 @@ class TestStepDynamics:
         done = False
         events = []
         while not done:
-            _, _, done, info = env.step(Action(0.30, 0.05, 0.0))
-            events.append(info["event"])
+            _, _, done, event = env.step((0.30, 0.05, 0.0))
+            events.append(event)
         assert events[-1] == "success"
         assert "scuff" not in events and "edge" not in events
 
     def test_zero_clearance_scuffs_on_riser(self):
         env = StepperEnv(blind_cfg(), seed=1)
         env.reset(stairs(h=0.12, d=0.30, lead=0.3))  # start mid-tread at -0.15
-        _, reward, done, info = env.step(Action(0.30, 0.0, 0.0))
-        assert done and info["event"] == "scuff"
+        _, reward, done, event = env.step((0.30, 0.0, 0.0))
+        assert done and event == "scuff"
         assert reward < -5.0
 
     def test_stride_matching_depth_succeeds(self):
@@ -115,15 +117,15 @@ class TestStepDynamics:
         env.reset(stairs(h=h, d=d, n=8, lead=0.3))
         done = False
         while not done:
-            _, _, done, info = env.step(Action(d, h + 0.05, 0.0))
-        assert info["event"] == "success"
+            _, _, done, event = env.step((d, h + 0.05, 0.0))
+        assert event == "success"
 
     def test_footing_conservation(self):
         env = StepperEnv(blind_cfg(), seed=2)
         env.reset(stairs(h=0.13, d=0.29, n=10, lead=1.0))
         rng = np.random.default_rng(3)
         for _ in range(30):
-            a = Action(rng.uniform(0.1, 0.4), 0.3, rng.uniform(-0.05, 0.05))
+            a = (rng.uniform(0.1, 0.4), 0.3, rng.uniform(-0.05, 0.05))
             _, _, done, _ = env.step(a)
             if done:
                 break
@@ -135,36 +137,36 @@ class TestStepDynamics:
         env.reset(stairs(yaw=0.2, lead=1.0))
         phi = env.heading_err
         s_before = env.s
-        env.step(Action(0.25, 0.3, 0.0))
+        env.step((0.25, 0.3, 0.0))
         assert env.s - s_before == 0.25 * math.cos(phi)
 
     def test_edge_landing_fails(self):
         env = StepperEnv(blind_cfg(), seed=1)
         env.reset(stairs(h=0.12, d=0.30, lead=0.3))
         # Land at 0.29: within the 0.02 m edge margin of the riser at 0.30.
-        _, _, done, info = env.step(Action(0.44, 0.30, 0.0))
-        assert done and info["event"] == "edge"
+        _, _, done, event = env.step((0.44, 0.30, 0.0))
+        assert done and event == "edge"
 
     def test_success_bonus_and_timeout(self):
         env = StepperEnv(blind_cfg(horizon=5), seed=1)
         env.reset(FLAT)
         for _ in range(5):
-            _, _, done, info = env.step(Action(0.1, 0.0, 0.0))
-        assert done and info["event"] == "timeout"
+            _, _, done, event = env.step((0.1, 0.0, 0.0))
+        assert done and event == "timeout"
         assert not env.episode_record().success
 
     def test_step_after_done_rejected(self):
         env = StepperEnv(blind_cfg(horizon=1), seed=1)
         env.reset(FLAT)
-        env.step(Action(0.1, 0.0, 0.0))
+        env.step((0.1, 0.0, 0.0))
         with pytest.raises(RuntimeError, match="reset"):
-            env.step(Action(0.1, 0.0, 0.0))
+            env.step((0.1, 0.0, 0.0))
 
     def test_heading_correction_reduces_error(self):
         env = StepperEnv(blind_cfg(), seed=0)
         env.reset(stairs(yaw=0.1, lead=1.0))
         before = abs(env.heading_err)
-        env.step(Action(0.2, 0.3, -0.05))
+        env.step((0.2, 0.3, -0.05))
         assert abs(env.heading_err) < before
 
 
@@ -186,8 +188,8 @@ class TestMonotoneRisk:
         for c in np.linspace(0.0, 0.3, 16):
             env = StepperEnv(blind_cfg(), seed=1)
             env.reset(stairs(h=h, d=d, lead=0.3))
-            _, _, _, info = env.step(Action(0.33, float(c), 0.0))
-            outcomes.append(info["event"] == "scuff")
+            _, _, _, event = env.step((0.33, float(c), 0.0))
+            outcomes.append(event == "scuff")
         # Monotone: scuffs form a prefix of the clearance sweep.
         first_clear = outcomes.index(False) if False in outcomes else len(outcomes)
         assert all(outcomes[:first_clear]) and not any(outcomes[first_clear:])
@@ -197,8 +199,8 @@ class TestObservations:
     def test_blind_carries_no_lookahead(self):
         # Worlds differing only in step height produce identical blind
         # observations until the first landing on a differing tread.
-        actions = [Action(0.2, 0.3, 0.01), Action(0.25, 0.25, -0.02), Action(0.3, 0.3, 0.0),
-                   Action(0.3, 0.3, 0.0), Action(0.3, 0.3, 0.0)]
+        actions = [(0.2, 0.3, 0.01), (0.25, 0.25, -0.02), (0.3, 0.3, 0.0),
+                   (0.3, 0.3, 0.0), (0.3, 0.3, 0.0)]
         streams = []
         for h in (0.12, 0.16):
             env = StepperEnv(blind_cfg(), seed=7)
@@ -252,18 +254,18 @@ class TestNextRiserDistance:
         env = StepperEnv(EnvConfig(obs_mode=ObsMode.TOKEN), seed=0)
         obs = env.reset(stairs(h=0.12, d=0.30, lead=1.0))  # s = -0.5
         assert obs[12] == 0.5
-        obs, _, done, _ = env.step(Action(0.35, 0.25, 0.0))  # s = -0.15
+        obs, _, done, _ = env.step((0.35, 0.25, 0.0))  # s = -0.15
         assert not done
         assert obs[12] == pytest.approx(0.15, abs=1e-12)
         # s = 0.25: past the riser at 0, the next one is at 0.3.
-        obs, _, done, _ = env.step(Action(0.4, 0.25, 0.0))
+        obs, _, done, _ = env.step((0.4, 0.25, 0.0))
         assert not done
         assert obs[12] == pytest.approx(0.05, abs=1e-12)
 
     def test_ground_truth_follows_axis_advance_when_yawed(self):
         env = StepperEnv(EnvConfig(obs_mode=ObsMode.TOKEN), seed=0)
         env.reset(stairs(h=0.12, d=0.30, yaw=0.2, lead=1.0))
-        obs, _, done, _ = env.step(Action(0.3, 0.25, 0.0))
+        obs, _, done, _ = env.step((0.3, 0.25, 0.0))
         assert not done
         # The advance is stride * cos(heading error), not the stride.
         assert env.s == pytest.approx(-0.5 + 0.3 * math.cos(0.2), abs=1e-12)
@@ -289,7 +291,7 @@ class TestNextRiserDistance:
                 truth = env.profile.next_riser_distance(env.s)
                 assert obs[6:9].argmax() == int(StairClass.STAIRS_UP)
                 assert obs[12] == pytest.approx(truth, abs=bin_width)
-                obs, _, done, _ = env.step(Action(stride, 0.25, 0.0))
+                obs, _, done, _ = env.step((stride, 0.25, 0.0))
                 assert not done
 
     def test_carried_forward_between_refreshes(self):
@@ -304,7 +306,7 @@ class TestNextRiserDistance:
         s0, sensed, d_est = env.s, obs0[12], obs0[10]
         wrapped = False
         for _ in range(4):  # t = 1 .. 4 reuse the sense taken at t = 0
-            obs, _, done, _ = env.step(Action(0.3, 0.25, 0.0))
+            obs, _, done, _ = env.step((0.3, 0.25, 0.0))
             assert not done
             assert np.array_equal(obs[6:12], obs0[6:12])
             expected = wrap_ahead(sensed - (env.s - s0), d_est)
@@ -318,27 +320,17 @@ class TestNextRiserDistance:
 
 class TestTraceAndMetrics:
     def test_trace_schema_and_events(self):
+        # Each step returns its event; the env keeps no per-step history.
         env = StepperEnv(blind_cfg(), seed=1)
         env.reset(FLAT)
-        done = False
+        done, events = False, []
         while not done:
-            _, _, done, _ = env.step(Action(0.3, 0.05, 0.0))
-        rows = env.trace_rows
-        assert tuple(rows[0].keys()) == (
-            "time",
-            "s",
-            "support_height",
-            "v_cmd",
-            "v_avg",
-            "heading_err",
-            "stride",
-            "clearance",
-            "dheading",
-            "reward",
-            "event",
-        )
-        assert rows[-1]["event"] == "success"
-        assert all(r["event"] in ("none", "scuff", "edge", "success", "timeout") for r in rows)
+            _, _, done, event = env.step((0.3, 0.05, 0.0))
+            events.append(event)
+        assert events[-1] == "success" and set(events[:-1]) == {"none"}
+        record = env.episode_record()
+        assert record.length == len(events) == env.t and record.event == "success"
+        assert not {"trace_rows", "step_count"} & set(vars(env))
 
     def test_metrics_perfect_tracking(self):
         records = [
@@ -375,24 +367,65 @@ class TestCommandSchedule:
         env.reset(FLAT)
         seen = []
         for _ in range(6):
-            env.step(Action(0.2, 0.0, 0.0))
-            seen.append(env.trace_rows[-1]["v_cmd"])
+            seen.append(env.v_cmd)
+            env.step((0.2, 0.0, 0.0))
         assert seen[:3] == [0.2, 0.2, 0.2]
         assert seen[3:] == [0.4, 0.4, 0.4]
+
+
+def _counted(calls, fn):
+    """``fn``, appending itself to ``calls`` on every call."""
+
+    def counted(*args, **kwargs):
+        calls.append(fn)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+class TestHeldEstimate:
+    """An estimator source estimates once per refresh step and keeps features, not grids."""
+
+    @pytest.mark.parametrize("source", [TokenSource.ANALYTIC, TokenSource.LEARNED])
+    def test_second_observe_reuses_the_estimate(self, monkeypatch, source):
+        calls = []
+        for name in ("scan", "estimate_token", "estimate_yaw"):
+            monkeypatch.setattr(tokens, name, _counted(calls, getattr(tokens, name)))
+        monkeypatch.setattr(Mlp, "forward", _counted(calls, Mlp.forward))
+        cfg = EnvConfig(token_source=source, token_refresh=2, sensor=SensorModel(sample_pitch=0.06))
+        net = build_estimator_net(np.random.default_rng(1), hidden=8)
+        env = StepperEnv(cfg, seed=3, estimator_net=net)
+        obs = env.reset(stairs(lead=1.0))
+        assert calls
+        for _ in range(4):
+            made = len(calls)
+            assert np.array_equal(env.observe(), obs) and len(calls) == made
+            obs = env.step((0.1, 0.3, 0.0))[0]
+            # Only a step onto the refresh schedule senses and estimates.
+            assert (len(calls) > made) == (env.t % 2 == 0)
+
+    def test_learned_refresh_holds_no_grid(self):
+        cfg = EnvConfig(token_source=TokenSource.LEARNED, sensor=SensorModel(sample_pitch=0.06))
+        net = build_estimator_net(np.random.default_rng(1), hidden=8)
+        env = StepperEnv(cfg, seed=3, estimator_net=net)
+        env.reset(stairs(lead=1.0))
+        feed = env._tokens
+        assert isinstance(feed._sense[2], np.ndarray)
+        assert not any(isinstance(v, BevGrid) for v in (*feed._sense, *feed._held))
+        env.supervision_sample()
+        assert feed._sense[1] is None
 
 
 # -- the scalar stepper core against the array math it replaced -------------
 
 
-def _clamped(action) -> Action:
-    """Oracle action handling: any input becomes a clamped ``Action``."""
-    if not isinstance(action, Action):
-        a = np.asarray(action, dtype=float).reshape(3)
-        action = Action(float(a[0]), float(a[1]), float(a[2]))
-    return Action(
-        min(max(action.stride, STRIDE_BOUNDS[0]), STRIDE_BOUNDS[1]),
-        min(max(action.clearance, CLEARANCE_BOUNDS[0]), CLEARANCE_BOUNDS[1]),
-        min(max(action.dheading, DHEADING_BOUNDS[0]), DHEADING_BOUNDS[1]),
+def _clamped(action) -> tuple[float, float, float]:
+    """Oracle action handling: any three numbers become a clamped (stride, clearance, dheading)."""
+    a = np.asarray(action, dtype=float).reshape(3)
+    return (
+        min(max(float(a[0]), STRIDE_BOUNDS[0]), STRIDE_BOUNDS[1]),
+        min(max(float(a[1]), CLEARANCE_BOUNDS[0]), CLEARANCE_BOUNDS[1]),
+        min(max(float(a[2]), DHEADING_BOUNDS[0]), DHEADING_BOUNDS[1]),
     )
 
 
@@ -400,9 +433,10 @@ class FrozenStepper(StepperEnv):
     """Oracle: the stepper's reset, step and observation math on numpy queries.
 
     Heights come from ``TerrainProfile.height_on_axis``, risers from
-    ``riser_positions``, the arc from a fresh ``np.linspace``, actions are
-    ``Action`` objects and the last event is read from the trace. Token
-    estimation, sensing and the command schedule are inherited.
+    ``riser_positions``, the arc from a fresh ``np.linspace``, and the
+    oracle keeps its own trace, one row per step, from which the last event
+    is read. Token estimation, sensing and the command schedule are
+    inherited.
     """
 
     def reset(self, spec):
@@ -421,7 +455,7 @@ class FrozenStepper(StepperEnv):
             self.heading_err = wrap_pi(0.0 - spec.stair_yaw)
         self.v_avg = 0.0
         self.last_dh = 0.0
-        self.prev_action = Action(0.0, 0.0, 0.0)
+        self.prev_action = (0.0, 0.0, 0.0)
         self.t = 0
         self.step_count = 0
         self.done = False
@@ -453,16 +487,16 @@ class FrozenStepper(StepperEnv):
     def step(self, action):
         if self.done:
             raise RuntimeError("step() called on a finished episode; call reset()")
-        act = _clamped(action)
-        he_new = wrap_pi(self.heading_err - act.dheading)
-        ds = act.stride * math.cos(he_new)
+        stride, clearance, dheading = _clamped(action)
+        he_new = wrap_pi(self.heading_err - dheading)
+        ds = stride * math.cos(he_new)
         s_new = self.s + ds
         z0 = self.support_height
         z1 = float(self.profile.height_on_axis(s_new))
 
         n_samples = max(2, int(math.ceil(abs(ds) / ARC_SAMPLE_PITCH)))
         u = np.linspace(0.0, 1.0, n_samples + 1)
-        foot = arc_heights(z0, z1, act.clearance, u)
+        foot = arc_heights(z0, z1, clearance, u)
         terrain = self.profile.height_on_axis(self.s + u * ds)
         scuffed = bool(np.any(foot < terrain - _SCUFF_EPS))
 
@@ -471,7 +505,7 @@ class FrozenStepper(StepperEnv):
             on_edge = bool(np.min(np.abs(s_new - self._risers)) < self.cfg.edge_margin)
 
         self.s = s_new
-        self.lat += act.stride * math.sin(he_new)
+        self.lat += stride * math.sin(he_new)
         self.heading_err = he_new
         self.last_dh = z1 - z0
         self.support_height = z1
@@ -479,7 +513,7 @@ class FrozenStepper(StepperEnv):
         alpha = self.cfg.v_avg_alpha
         self.v_avg = (1.0 - alpha) * self.v_avg + alpha * v_inst
         self.step_count += 1
-        self.prev_action = act
+        self.prev_action = (stride, clearance, dheading)
 
         w = self.cfg.reward
         v_cmd_used = self.v_cmd
@@ -487,12 +521,11 @@ class FrozenStepper(StepperEnv):
         reward = (
             w.velocity * math.exp(-verr * verr)
             + w.forward * ds
-            - w.clearance * act.clearance
+            - w.clearance * clearance
             - w.heading * abs(he_new)
         )
 
         event = "none"
-        success = False
         if scuffed:
             event = "scuff"
             reward -= w.terminal_bonus
@@ -504,7 +537,6 @@ class FrozenStepper(StepperEnv):
         elif s_new > self._goal_s:
             event = "success"
             reward += w.terminal_bonus
-            success = True
             self.done = True
 
         self._sum_abs_verr += abs(self.v_avg - self.v_cmd)
@@ -525,9 +557,9 @@ class FrozenStepper(StepperEnv):
                 "v_cmd": v_cmd_used,
                 "v_avg": self.v_avg,
                 "heading_err": self.heading_err,
-                "stride": act.stride,
-                "clearance": act.clearance,
-                "dheading": act.dheading,
+                "stride": stride,
+                "clearance": clearance,
+                "dheading": dheading,
                 "reward": reward,
                 "event": event,
             }
@@ -535,8 +567,7 @@ class FrozenStepper(StepperEnv):
 
         obs = self.observe() if not self.done else np.zeros(OBS_DIM[self.cfg.obs_mode])
         self.last_obs = obs
-        info = {"event": event, "success": success, "s": self.s}
-        return obs, reward, self.done, info
+        return obs, reward, self.done, event
 
     def episode_record(self):
         n = max(1, self.step_count)
@@ -559,9 +590,7 @@ class FrozenStepper(StepperEnv):
                 self.last_dh,
                 self.v_avg,
                 self.v_cmd,
-                self.prev_action.stride,
-                self.prev_action.clearance,
-                self.prev_action.dheading,
+                *self.prev_action,
             ]
         )
         mode = self.cfg.obs_mode
@@ -656,34 +685,54 @@ ORACLE_ENV_CFGS = [
 
 
 def _oracle_actions(rng, n):
-    """Arrays, ``Action``s, lists and (1, 3) arrays, often outside the action bounds."""
+    """Arrays, tuples, lists and (1, 3) arrays, often outside the action bounds."""
     out = []
     for i in range(n):
         a = [rng.uniform(-0.2, 0.8), rng.uniform(-0.1, 0.45), rng.uniform(-0.2, 0.2)]
         form = i % 4
         out.append(
-            np.array(a) if form == 0 else Action(*a) if form == 1
+            np.array(a) if form == 0 else tuple(a) if form == 1
             else list(a) if form == 2 else np.array([a])
         )
     return out
 
 
+def _live_row(env, v_cmd, reward, event):
+    """The oracle's trace row, built from the live env's public state after a step."""
+    stride, clearance, dheading = env.prev_action
+    return {
+        "time": env.t - 1,
+        "s": env.s,
+        "support_height": env.support_height,
+        "v_cmd": v_cmd,
+        "v_avg": env.v_avg,
+        "heading_err": env.heading_err,
+        "stride": stride,
+        "clearance": clearance,
+        "dheading": dheading,
+        "reward": reward,
+        "event": event,
+    }
+
+
 def _assert_same_rollout(cfg, spec, actions, seed):
     """Drive the live env and the oracle with the same inputs; compare every output."""
     live, frozen = StepperEnv(cfg, seed), FrozenStepper(cfg, seed)
-    events, backwards = [], False
+    events, backwards, rows = [], False, []
     assert _key(live.reset(spec)) == _key(frozen.reset(spec))
     for action in actions:
-        s_before = frozen.s
+        s_before, v_cmd = frozen.s, live.v_cmd
         got, want = live.step(action), frozen.step(action)
         assert _key(got) == _key(want)
-        assert _key(live.trace_rows) == _key(frozen.trace_rows)
+        rows.append(_live_row(live, v_cmd, got[1], got[3]))
+        assert _key(rows) == _key(frozen.trace_rows)
         assert _key(live.episode_record()) == _key(frozen.episode_record())
         assert _key(live.world_pose) == _key(frozen.world_pose)
         backwards |= frozen.s < s_before
         if want[2]:
-            events.append(want[3]["event"])
+            events.append(want[3])
             assert _key(live.reset(spec)) == _key(frozen.reset(spec))
+            rows = []
     return events, backwards
 
 
@@ -734,10 +783,10 @@ class TestScalarCoreOracle:
         ]
         for stride, margin, event in cases:
             cfg = EnvConfig(obs_mode=mode, edge_margin=margin)
-            _assert_same_rollout(cfg, spec, [Action(stride, 0.25, 0.0)], seed=3)
+            _assert_same_rollout(cfg, spec, [(stride, 0.25, 0.0)], seed=3)
             env = StepperEnv(cfg, seed=3)
             env.reset(spec)
-            assert env.step(Action(stride, 0.25, 0.0))[3]["event"] == event
+            assert env.step((stride, 0.25, 0.0))[3] == event
 
 
 def _bits(x: float) -> bytes:

@@ -3,11 +3,13 @@
 The sha256 of each file below was recorded from a known-good build and
 pins the bytes of ``gen`` (cloud and grid files), of
 ``benchmark-estimator`` (the per-case details), of ``train`` (curves,
-policy and estimator checkpoints) and of ``generalize`` on analytic
-tokens; CSV manifest lines are left out, since they carry the config
-hash. A change to scan, project, the estimator, the token sources or the
-training loop that alters any output byte or any draw fails here; such a
-change must record the new digests and say which outputs changed and why.
+policy and estimator checkpoints), of ``generalize`` on analytic
+tokens, of ``track`` (the tracking trace) and of ``ablation`` (curves,
+per-seed metrics and summary); CSV manifest lines are left out, since
+they carry the config hash. A change to scan, project, the estimator,
+the token sources, the stepper or the training loop that alters any
+output byte or any draw fails here; such a change must record the new
+digests and say which outputs changed and why.
 
 The digests rest on numpy's sort and summation kernels, so they hold for
 the numpy version CI pins (2.4.6).
@@ -16,7 +18,14 @@ the numpy version CI pins (2.4.6).
 import hashlib
 
 from stairlab.config import parse_config_text
-from stairlab.experiments import cmd_benchmark_estimator, cmd_gen, cmd_generalize, cmd_train
+from stairlab.experiments import (
+    cmd_ablation,
+    cmd_benchmark_estimator,
+    cmd_gen,
+    cmd_generalize,
+    cmd_track,
+    cmd_train,
+)
 
 GEN_SEEDS = (1, 2)
 OCCLUDED = "[sensor]\nocclusion = true\n"
@@ -129,6 +138,54 @@ TRAINING_GOLDEN = {
     ),
 }
 
+# A schedule with three commands over a 30-step flight; the episode runs
+# 19 steps, so the trace crosses both command changes.
+TRACK = (
+    "[run]\nseeds = 1\n[ppo]\nn_envs = 3\nhorizon = 24\n[env]\nhorizon = 60\n"
+    "[track]\nupdates = 10\nn_steps = 30\nschedule = 0:0.2,8:0.4,16:0.3\n"
+)
+# Every observation mode on two seeds, with a threshold low enough to be crossed.
+ABLATION = (
+    "[run]\nseeds = 1,2\n[ppo]\nn_envs = 2\nhorizon = 16\n[env]\nhorizon = 60\n"
+    "[ablation]\nupdates = 3\neval_episodes = 4\nterrain_heights = 0.12,0.16\n"
+    "terrain_episodes = 2\nsuccess_threshold = 0.1\nsuccess_window = 2\n"
+)
+ABLATION_FILES = (
+    *(f"curves_{m}_seed{s}.csv" for m in ("blind", "heightscan", "token") for s in (1, 2)),
+    "per_seed.csv",
+    "summary.csv",
+)
+
+COMMAND_GOLDEN = {
+    "track/track.csv": (
+        "20b5ec8bfbbe8428238cc45e0b9c715280e0d8c2d04181e003c846549de6f3cc"
+    ),
+    "ablation/curves_blind_seed1.csv": (
+        "cab8ecdda3df0375920e26066c7252d37d12c26ca6e78e84e0d1cb62710f3ff9"
+    ),
+    "ablation/curves_blind_seed2.csv": (
+        "374e0d8df8e14f541ddff647363ac44333309597dfb7b16ab19f62d6451260d5"
+    ),
+    "ablation/curves_heightscan_seed1.csv": (
+        "7590a20d2615c401b80e0087602e49bae7982b8938bb4b4f51487b0b456150ce"
+    ),
+    "ablation/curves_heightscan_seed2.csv": (
+        "9321b4b9c9e472befbb64a1dbf358de2b696addb81a9d9f3d81a55b3a31b34f8"
+    ),
+    "ablation/curves_token_seed1.csv": (
+        "e0c1eb4cc7fab0d8164e933d1789cd51ab9eac6748ba718bd5ff072c4ffeb74a"
+    ),
+    "ablation/curves_token_seed2.csv": (
+        "5c52469b3849fbe9cae70fe598eab032589977f41f671bd50a35f7dea6d16b57"
+    ),
+    "ablation/per_seed.csv": (
+        "dcadcf4307767a4eb1538e882ebdfbf75b5f23591ba3525ae223260f4db8202e"
+    ),
+    "ablation/summary.csv": (
+        "053b271569f60f63dd3f77b9a3f39cb869518c718dbb107aa7cb89a734fbd939"
+    ),
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -177,9 +234,23 @@ def training_digests(out_root) -> dict[str, str]:
     return digests
 
 
+def command_digests(out_root) -> dict[str, str]:
+    """sha256 of every pinned ``track`` and ``ablation`` output."""
+    cmd_track(parse_config_text(TRACK, base_dir=out_root), out_root)
+    digests = {"track/track.csv": _sha256(_csv_body(out_root / "track" / "track.csv"))}
+    cmd_ablation(parse_config_text(ABLATION, base_dir=out_root), out_root)
+    for name in ABLATION_FILES:
+        digests[f"ablation/{name}"] = _sha256(_csv_body(out_root / "ablation" / name))
+    return digests
+
+
 def test_perception_outputs_match_golden_bytes(tmp_path):
     assert perception_digests(tmp_path) == GOLDEN
 
 
 def test_training_outputs_match_golden_bytes(tmp_path):
     assert training_digests(tmp_path) == TRAINING_GOLDEN
+
+
+def test_command_outputs_match_golden_bytes(tmp_path):
+    assert command_digests(tmp_path) == COMMAND_GOLDEN

@@ -172,12 +172,19 @@ class TestCollect:
         policy = GaussianPolicy(OBS_DIM[ObsMode.BLIND], np.random.default_rng(0))
         # Near-deterministic policy at the log-std floor.
         policy.log_std = np.full(3, -5.0)
-        env = envs[0]
+        env, rewards = envs[0], []
+        step = env.step
+
+        def recorded_step(action):
+            out = step(action)
+            rewards.append(out[1])
+            return out
+
+        env.step = recorded_step
         batch = collect(envs, samplers, policy, toy_ppo(horizon=12, n_envs=1),
                         np.random.default_rng(2))
-        if env.trace_rows and len(env.trace_rows) >= 12:
-            trace_rewards = [row["reward"] for row in env.trace_rows[:12]]
-            assert np.allclose(batch.rewards[:, 0], trace_rewards, atol=1e-12)
+        assert len(rewards) == 12
+        assert np.allclose(batch.rewards[:, 0], rewards, atol=1e-12)
 
     def test_nan_action_aborts_collection(self):
         envs, samplers = _blind_envs(seed=9)
