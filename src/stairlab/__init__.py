@@ -1,5 +1,14 @@
 """stairlab: stair-geometry perception and geometry-conditioned stepping policies."""
 
+import os
+
+# Outputs are bit for bit a function of (config, seeds) only with BLAS on
+# one thread: the estimator net's products round differently when BLAS
+# splits them across threads. BLAS reads these when numpy is first
+# imported, so a program that imports numpy before stairlab must set them.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 from .bev import BevGrid, project, read_grid, write_grid
 from .env import EnvConfig, EpisodeRecord, EvalMetrics, ObsMode, StepperEnv, TokenSource
 from .errors import ConfigError, StairlabError, TrainingError

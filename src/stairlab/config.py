@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 
-from .env import EnvConfig
-from .errors import ConfigError, check_counts
+from .env import EnvConfig, ObsMode
+from .errors import ConfigError, check_counts, check_listed
 from .ppo import PpoConfig, TrainConfig
 from .sensor import SensorModel
 from .world import ParameterRanges
@@ -64,6 +64,7 @@ class AblationConfig:
         check_counts(
             self, "[ablation] ", updates=0, eval_episodes=1, terrain_episodes=1, success_window=1
         )
+        check_listed(self, "[ablation] ", "terrain_heights")
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,11 @@ class GeneralizeConfig:
     train_heights: tuple[float, ...] = (0.12, 0.14, 0.16)
     eval_heights: tuple[float, ...] = (0.12, 0.14, 0.16, 0.18, 0.20, 0.22)
     episodes: int = 100
-    modes: tuple[str, ...] = ("token", "blind")
+    modes: tuple[ObsMode, ...] = (ObsMode.TOKEN, ObsMode.BLIND)
 
     def __post_init__(self) -> None:
         check_counts(self, "[generalize] ", updates=0, episodes=1)
+        check_listed(self, "[generalize] ", "train_heights", "eval_heights", "modes")
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,7 @@ def _converter(tp):
         if typing.get_origin(args[0]) is tuple:
             return _parse_schedule
         item = _converter(args[0])
-        return lambda raw: tuple(item(tok) for tok in raw.split(",") if tok.strip())
+        return lambda raw: tuple(item(tok.strip()) for tok in raw.split(",") if tok.strip())
     raise TypeError(f"no INI converter for {tp}")
 
 

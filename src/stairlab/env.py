@@ -14,10 +14,8 @@ env does the dynamics only; tokens and supervision samples come from its
 learned tokens need the ``estimator_net`` (an ``nn.Mlp``) the env is built with.
 
 A step makes no numpy call on scalar data. Heights, the edge test and
-the next-riser distance use ``math.floor``/``ceil`` and ``min``/``max`` on
-the same IEEE operations as ``TerrainProfile.height_on_axis`` and
-``riser_positions``, so every observation, reward and event is bit for
-bit what the array queries give. The swing arc's samples are the one
+the next-riser distance are the ``TerrainProfile``'s float queries, bit
+for bit what its array queries give. The swing arc's samples are the one
 array: a cached ``linspace`` per sample count, with the terrain under it
 computed in place.
 """
@@ -174,27 +172,22 @@ class StepperEnv:
         if spec.lead_flat < 0.3:
             raise ConfigError("lead_flat must be >= 0.3 m to place the stepper")
         self.spec = spec
-        self.profile = TerrainProfile(spec)
-        flat = spec.stair_class == StairClass.FLAT
-        self._flat = flat
-        self._up = spec.stair_class == StairClass.STAIRS_UP
-        self._h = float(spec.h_step)
-        self._d = float(spec.d_step)
-        self._n_risers = 0 if flat else spec.n_steps
+        self.profile = profile = TerrainProfile(spec)
+        flat = profile.flat
         self._axis_yaw = 0.0 if flat else spec.stair_yaw
         self._axis_cos = math.cos(self._axis_yaw)
         self._axis_sin = math.sin(self._axis_yaw)
 
-        self.s = -spec.lead_flat / 2.0
+        self.s = profile.start_s
         self.lat = 0.0
-        self.support_height = self._height(self.s)
+        self.support_height = profile.height(self.s)
         self.heading_err = 0.0 if flat else wrap_pi(0.0 - spec.stair_yaw)
         self.v_avg = 0.0
         self.last_dh = 0.0
         self.prev_action = (0.0, 0.0, 0.0)
         self.t = 0
         self.done = False
-        self._goal_s = self.s + self.cfg.flat_goal if flat else self._d * (self._n_risers - 1)
+        self._goal_s = self.s + self.cfg.flat_goal if flat else float(profile.riser_positions()[-1])
         if self.cfg.command_schedule is None:
             lo, hi = self.cfg.v_cmd_range
             self._episode_cmd = float(self._rng.uniform(lo, hi))
@@ -216,60 +209,6 @@ class StepperEnv:
             if t >= t_start:
                 v = value
         return float(v)
-
-    # -- terrain queries on one along-axis position ------------------------
-
-    def _height(self, s: float) -> float:
-        """``profile.height_on_axis(s)`` on a float."""
-        if self._flat:
-            return 0.0
-        q = s / self._d
-        if self._up:
-            return self._h * min(max(math.floor(q) + 1.0, 0.0), self._n_risers)
-        # np.ceil keeps the sign of a zero result (ceil(-0.5) is -0.0), and
-        # np.clip, like max(), keeps a -0.0 at the lower bound 0.
-        return -self._h * min(max(math.copysign(math.ceil(q), q), 0.0), self._n_risers)
-
-    def _riser_ahead(self, s: float) -> int:
-        """Index k of the first riser strictly ahead of ``s``; the riser count past the last.
-
-        Riser k lies at ``d * k``, the product ``riser_positions`` forms, so
-        the strict test agrees with ``riser_positions() > s`` at every
-        boundary. Call only on stairs.
-        """
-        d, n = self._d, self._n_risers
-        k = min(max(math.floor(s / d) + 1, 0), n)
-        while k > 0 and d * (k - 1) > s:
-            k -= 1
-        while k < n and d * k <= s:
-            k += 1
-        return k
-
-    def _next_riser(self, s: float) -> float:
-        """``profile.next_riser_distance(s)`` on a float."""
-        n = self._n_risers
-        k = self._riser_ahead(s) if n else 0
-        return self._d * k - s if k < n else 0.0
-
-    def _arc_terrain(self, s: float, ds: float, u: np.ndarray) -> np.ndarray:
-        """``height_on_axis(s + u * ds) - _SCUFF_EPS``, in place on one array.
-
-        The clip bounds may give a zero the other sign than np.clip does;
-        the scuff check only compares these heights. Call only on stairs.
-        """
-        x = u * ds
-        x += s
-        x /= self._d
-        if self._up:
-            np.floor(x, out=x)
-            x += 1.0
-        else:
-            np.ceil(x, out=x)
-        np.maximum(x, 0.0, out=x)
-        np.minimum(x, self._n_risers, out=x)
-        x *= self._h if self._up else -self._h
-        x -= _SCUFF_EPS
-        return x
 
     # -- pose helpers ------------------------------------------------------
 
@@ -308,7 +247,7 @@ class StepperEnv:
         s = self.s
         s_new = s + ds
         z0 = self.support_height
-        z1 = self._height(s_new)
+        z1 = self.profile.height(s_new)
 
         u = _arc_samples(max(2, int(math.ceil(abs(ds) / ARC_SAMPLE_PITCH))))
         foot = arc_heights(z0, z1, clearance, u)
@@ -316,18 +255,10 @@ class StepperEnv:
             # The terrain is monotone along the arc, so it is z1 under all of it.
             scuffed = bool(foot.min() < z1 - _SCUFF_EPS)
         else:
-            scuffed = bool((foot < self._arc_terrain(s, ds, u)).any())
-
-        on_edge = False
-        n = self._n_risers
-        if not scuffed and n:
-            # The nearest riser is the last one behind s_new or the first ahead.
-            d = self._d
-            k = self._riser_ahead(s_new)
-            gap = abs(s_new - d * (k - 1)) if k > 0 else math.inf
-            if k < n:
-                gap = min(gap, abs(s_new - d * k))
-            on_edge = gap < cfg.edge_margin
+            terrain = self.profile.heights_along(s, ds, u)
+            terrain -= _SCUFF_EPS
+            scuffed = bool((foot < terrain).any())
+        on_edge = not scuffed and self.profile.edge_gap(s_new) < cfg.edge_margin
 
         # State advances even on a terminal step, so it shows where the episode ended.
         self.s = s_new

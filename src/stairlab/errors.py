@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the config count check that raises one."""
+"""Exception types shared across the package, and the config checks that raise one."""
 
 
 class StairlabError(Exception):
@@ -24,3 +24,10 @@ def check_counts(obj, prefix: str = "", **lows: int) -> None:
         if value < low:
             bound = "positive" if low else "non-negative"
             raise ConfigError(f"{prefix}{name} must be {bound}, got {value}")
+
+
+def check_listed(obj, prefix: str, *names: str) -> None:
+    """Reject each list of ``obj`` named in ``names`` that is empty, naming the key."""
+    for name in names:
+        if not getattr(obj, name):
+            raise ConfigError(f"{prefix}{name} must list at least one value")

@@ -83,13 +83,6 @@ def write_manifest(path: Path, cfg: ExperimentConfig) -> None:
     path.write_text(canonical_text(cfg) + _manifest_line(cfg) + "\n")
 
 
-def _start_pose(spec: StairSpec) -> tuple[float, float, float]:
-    """Robot on the lead flat facing along the world x-axis."""
-    s0 = -spec.lead_flat / 2.0
-    ca, sa = math.cos(spec.stair_yaw), math.sin(spec.stair_yaw)
-    return spec.origin_x + s0 * ca, spec.origin_y + s0 * sa, 0.0
-
-
 # -- gen ---------------------------------------------------------------------
 
 
@@ -101,7 +94,7 @@ def cmd_gen(cfg: ExperimentConfig, out_root: Path) -> list[dict]:
         spec_seed, scan_seed = np.random.SeedSequence(seed).spawn(2)
         spec = generate_stairs(np.random.default_rng(spec_seed), cfg.world)
         profile = TerrainProfile(spec)
-        cloud = scan(profile, _start_pose(spec), cfg.env.sensor, np.random.default_rng(scan_seed))
+        cloud = scan(profile, profile.start_pose(), cfg.env.sensor, np.random.default_rng(scan_seed))
         grid = project(cloud)
 
         case_dir = out / f"seed_{seed:06d}"
@@ -145,7 +138,7 @@ def benchmark_case(
     spec_seed, scan_seed, drop_seed = as_seed_sequence(case_seed).spawn(3)
     spec = generate_stairs(np.random.default_rng(spec_seed), ranges)
     profile = TerrainProfile(spec)
-    pose = _start_pose(spec)
+    pose = profile.start_pose()
     cloud = scan(profile, pose, cfg.env.sensor, np.random.default_rng(scan_seed))
     if cfg.benchmark.dropout > 0.0:
         cloud = dropout(cloud, cfg.benchmark.dropout, np.random.default_rng(drop_seed))
@@ -331,8 +324,7 @@ def cmd_generalize(cfg: ExperimentConfig, out_root: Path) -> list[dict]:
 
     per_seed_rows = []
     summary_rows = []
-    for mode_name in cfg.generalize.modes:
-        mode = ObsMode(mode_name)
+    for mode in cfg.generalize.modes:
         env_cfg = replace(cfg.env, obs_mode=mode)
         by_height: dict[float, list[float]] = {h: [] for h in cfg.generalize.eval_heights}
         for seed in cfg.run.seeds:

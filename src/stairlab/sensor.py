@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .world import StairClass, TerrainProfile
+from .world import TerrainProfile
 
 
 @dataclass(frozen=True)
@@ -108,18 +108,10 @@ def _line_of_sight_mask(
     of every ray against every riser bit for bit, and the cost falls from
     O(N * n_steps) to O(N log n_steps).
     """
-    spec = profile.spec
     visible = np.ones(s.shape[0], dtype=bool)
-    if spec.stair_class == StairClass.FLAT:
+    if profile.flat:
         return visible
-    k = np.arange(spec.n_steps, dtype=float)
-    # Computed from the spec rather than queried at the riser position,
-    # where rounding could resolve to the lower tread.
-    if spec.stair_class == StairClass.STAIRS_UP:
-        edges = spec.h_step * (k + 1.0)
-    else:
-        edges = -spec.h_step * k
-
+    edges = profile.riser_tops()
     ahead = profile.riser_positions() - s0
     ds = s - s0
     # Risers behind the sensor (ahead < 0) and not ahead of it (ahead <= 0).
@@ -187,12 +179,12 @@ def scan(
 
     u, v = _lattice(model.window, model.sample_pitch)
     cos_h, sin_h = math.cos(heading), math.sin(heading)
-    s = profile._along_axis(x + u * cos_h - v * sin_h, y + u * sin_h + v * cos_h)
+    s = profile.along_axis(x + u * cos_h - v * sin_h, y + u * sin_h + v * cos_h)
     z = profile.height_on_axis(s)
     support = profile.height_at(x, y)
 
     if model.occlusion:
-        s0 = float(profile._along_axis(x, y))
+        s0 = float(profile.along_axis(x, y))
         keep = _line_of_sight_mask(profile, s0, s, z, support + model.sensor_height)
         u, v, z = u[keep], v[keep], z[keep]
 

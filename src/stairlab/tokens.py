@@ -58,7 +58,7 @@ class TokenFeed:
         """The token at the env's pose and the distance to the next riser (0 on a flat token)."""
         if self.cfg.token_source == TokenSource.GROUND_TRUTH:
             token = self._perturb(self._teacher(env))
-            next_riser = env._next_riser(env.s)
+            next_riser = env.profile.next_riser(env.s)
         else:
             due = env.t % self.cfg.token_refresh == 0
             if due and (self._held is None or self._held[3] != env.t):

@@ -105,48 +105,122 @@ class TerrainToken:
         return vec
 
 
-@dataclass(frozen=True)
 class TerrainProfile:
-    """Piecewise-constant heightfield realized from a StairSpec."""
+    """Piecewise-constant heightfield realized from a StairSpec.
 
-    spec: StairSpec
+    The one owner of the flight's geometry: riser k at ``d * k``, the tread
+    heights, and the rule that a point on a riser line takes the higher
+    tread. Array queries serve the scan; float queries serve the stepper
+    on Python floats, with the same IEEE operations, so both give the same
+    bits. The flight's scalars are computed once, ``n_risers`` being 0 on
+    flat terrain, as is ``start_s``, the middle of the lead flat.
+    """
 
-    def _along_axis(self, x, y):
+    __slots__ = ("spec", "flat", "up", "h", "d", "n_risers", "start_s")
+
+    def __init__(self, spec: StairSpec):
+        self.spec = spec
+        self.flat = spec.stair_class == StairClass.FLAT
+        self.up = spec.stair_class == StairClass.STAIRS_UP
+        self.h, self.d = float(spec.h_step), float(spec.d_step)
+        self.n_risers = 0 if self.flat else spec.n_steps
+        self.start_s = -spec.lead_flat / 2.0
+
+    def along_axis(self, x, y):
+        """Signed along-axis distance of world (x, y) past the first riser; accepts arrays."""
         s = self.spec
         return (np.asarray(x, dtype=float) - s.origin_x) * math.cos(s.stair_yaw) + (
             np.asarray(y, dtype=float) - s.origin_y
         ) * math.sin(s.stair_yaw)
 
+    def start_pose(self) -> tuple[float, float, float]:
+        """World pose at ``start_s`` on the ascent axis, facing along the world x-axis."""
+        spec, s0 = self.spec, self.start_s
+        ca, sa = math.cos(spec.stair_yaw), math.sin(spec.stair_yaw)
+        return spec.origin_x + s0 * ca, spec.origin_y + s0 * sa, 0.0
+
     def height_on_axis(self, s):
         """Height as a function of signed along-axis distance past the first riser."""
-        spec = self.spec
         s = np.asarray(s, dtype=float)
-        if spec.stair_class == StairClass.FLAT:
+        if self.flat:
             out = np.zeros_like(s)
-        elif spec.stair_class == StairClass.STAIRS_UP:
-            k = np.clip(np.floor(s / spec.d_step) + 1.0, 0.0, spec.n_steps)
-            out = spec.h_step * k
+        elif self.up:
+            k = np.clip(np.floor(s / self.d) + 1.0, 0.0, self.n_risers)
+            out = self.h * k
         else:
-            k = np.clip(np.ceil(s / spec.d_step), 0.0, spec.n_steps)
-            out = -spec.h_step * k
+            k = np.clip(np.ceil(s / self.d), 0.0, self.n_risers)
+            out = -self.h * k
         return float(out) if out.ndim == 0 else out
 
     def height_at(self, x, y):
         """Terrain height at world (x, y); total function, accepts arrays."""
-        return self.height_on_axis(self._along_axis(x, y))
+        return self.height_on_axis(self.along_axis(x, y))
+
+    def heights_along(self, s: float, ds: float, u: np.ndarray) -> np.ndarray:
+        """``height_on_axis(s + u * ds)`` in place, on stairs only; a zero's sign may differ."""
+        x = u * ds
+        x += s
+        x /= self.d
+        if self.up:
+            np.floor(x, out=x)
+            x += 1.0
+        else:
+            np.ceil(x, out=x)
+        np.maximum(x, 0.0, out=x)
+        np.minimum(x, self.n_risers, out=x)
+        x *= self.h if self.up else -self.h
+        return x
 
     def riser_positions(self) -> np.ndarray:
         """Along-axis positions of the riser lines (empty for flat terrain)."""
-        spec = self.spec
-        if spec.stair_class == StairClass.FLAT:
-            return np.empty(0)
-        return spec.d_step * np.arange(spec.n_steps, dtype=float)
+        return self.d * np.arange(self.n_risers, dtype=float)
 
-    def next_riser_distance(self, s: float) -> float:
+    def riser_tops(self) -> np.ndarray:
+        """Each riser's top edge, the higher tread; a query at the riser may round to the lower."""
+        k = np.arange(self.n_risers, dtype=float)
+        return self.h * (k + 1.0) if self.up else -self.h * k
+
+    def height(self, s: float) -> float:
+        """``height_on_axis(s)`` on a float."""
+        if self.flat:
+            return 0.0
+        q = s / self.d
+        if self.up:
+            return self.h * min(max(math.floor(q) + 1.0, 0.0), self.n_risers)
+        # np.ceil keeps the sign of a zero result (ceil(-0.5) is -0.0), and
+        # np.clip, like max(), keeps a -0.0 at the lower bound 0.
+        return -self.h * min(max(math.copysign(math.ceil(q), q), 0.0), self.n_risers)
+
+    def riser_ahead(self, s: float) -> int:
+        """Index k of the first riser strictly ahead of ``s``; the riser count past the last.
+
+        Riser k lies at ``d * k``, the product ``riser_positions`` forms, so
+        the strict test agrees with ``riser_positions() > s`` at every
+        boundary. 0 on flat terrain.
+        """
+        d, n = self.d, self.n_risers
+        if not n:
+            return 0
+        k = min(max(math.floor(s / d) + 1, 0), n)
+        while k > 0 and d * (k - 1) > s:
+            k -= 1
+        while k < n and d * k <= s:
+            k += 1
+        return k
+
+    def next_riser(self, s: float) -> float:
         """Along-axis distance from ``s`` to the first riser strictly ahead; 0 past the last."""
-        ahead = self.riser_positions()
-        ahead = ahead[ahead > s]
-        return float(ahead[0] - s) if ahead.size else 0.0
+        k = self.riser_ahead(s)
+        return self.d * k - s if k < self.n_risers else 0.0
+
+    def edge_gap(self, s: float) -> float:
+        """Distance from ``s`` to the nearest riser line; ``inf`` on flat terrain."""
+        # The nearest riser is the last one behind s or the first ahead.
+        k = self.riser_ahead(s)
+        gap = abs(s - self.d * (k - 1)) if k > 0 else math.inf
+        if k < self.n_risers:
+            gap = min(gap, abs(s - self.d * k))
+        return gap
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 """Helpers shared by the test modules."""
 
+import math
+import struct
 from dataclasses import replace
 
-from stairlab.world import ParameterRanges, StairClass
+import numpy as np
+
+from stairlab.world import ParameterRanges, StairClass, StairSpec
 
 
 def with_class(ranges: ParameterRanges, stair_class: StairClass) -> ParameterRanges:
@@ -10,3 +14,32 @@ def with_class(ranges: ParameterRanges, stair_class: StairClass) -> ParameterRan
     weights = [0.0, 0.0, 0.0]
     weights[int(stair_class)] = 1.0
     return replace(ranges, class_weights=tuple(weights))
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# Depths where s / d misplaces a riser by one: 0.35 * 3 / 0.35 < 3, and the
+# float below 0.253 * 5, divided by 0.253, rounds up to 5.
+BOUNDARY_SPECS = [
+    StairSpec(StairClass.STAIRS_UP, 0.13, 0.35, 0.3, 8, 1.0, 0.8, 1.1, -0.6),
+    StairSpec(StairClass.STAIRS_UP, 0.1, 0.253, 0.0, 9, 1.0, 0.8),
+    StairSpec(StairClass.STAIRS_DOWN, 0.17, 0.289, -0.2, 9, 1.0, 0.8),
+    StairSpec(StairClass.STAIRS_DOWN, 0.1, 0.3, 0.0, 9, 1.0, 0.8),
+    StairSpec(StairClass.FLAT, 0.0, 0.0, 0.0, 4, 1.0, 0.8),
+]
+
+
+def spec_id(spec):
+    return f"{spec.stair_class.name}-{spec.d_step}"
+
+
+def boundary_positions(spec):
+    """Each riser position, one ulp either side, zeros of both signs, and points off the flight."""
+    d = spec.d_step if spec.d_step > 0.0 else 0.3
+    risers = d * np.arange(spec.n_steps + 1, dtype=float)
+    out = [-0.0, 0.0, -d, -0.5 * d, -1e-300, 1e-300, 10.0, -10.0]
+    for r in risers.tolist():
+        out += [r, math.nextafter(r, -math.inf), math.nextafter(r, math.inf), r + 0.5 * d]
+    return out

@@ -494,6 +494,36 @@ class TestExperimentSettingsRejected:
                 "[generalize] episodes must be positive, got 0",
             ),
             (
+                "ablation",
+                "terrain_heights = 0.12",
+                "terrain_heights =",
+                "[ablation] terrain_heights must list at least one value",
+            ),
+            (
+                "generalize",
+                "train_heights = 0.12,0.14",
+                "train_heights =",
+                "[generalize] train_heights must list at least one value",
+            ),
+            (
+                "generalize",
+                "eval_heights = 0.12,0.18",
+                "eval_heights =",
+                "[generalize] eval_heights must list at least one value",
+            ),
+            (
+                "generalize",
+                "\nepisodes = 4",
+                "\nepisodes = 4\nmodes =",
+                "[generalize] modes must list at least one value",
+            ),
+            (
+                "generalize",
+                "\nepisodes = 4",
+                "\nepisodes = 4\nmodes = token,walk",
+                "[generalize] modes: cannot parse 'token,walk': 'walk' is not a valid ObsMode",
+            ),
+            (
                 "track",
                 "[train]",
                 "[track]\nschedule = 60:0.4,0:0.2\n[train]",

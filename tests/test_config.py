@@ -336,6 +336,39 @@ def test_experiment_counts_rejected(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "[ablation]\nterrain_heights =\n",
+            "[ablation] terrain_heights must list at least one value",
+        ),
+        (
+            "[generalize]\ntrain_heights =\n",
+            "[generalize] train_heights must list at least one value",
+        ),
+        ("[generalize]\neval_heights =\n", "[generalize] eval_heights must list at least one value"),
+        ("[generalize]\nmodes =\n", "[generalize] modes must list at least one value"),
+        (
+            "[generalize]\nmodes = token,walk\n",
+            "[generalize] modes: cannot parse 'token,walk': 'walk' is not a valid ObsMode",
+        ),
+    ],
+)
+def test_experiment_lists_rejected(text, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(text, base_dir=None)
+    assert str(exc.value) == message
+
+
+def test_generalize_modes_are_obs_modes_and_hash_as_text():
+    cfg = parse_config_text("[generalize]\nmodes = token, blind\n", base_dir=None)
+    assert cfg.generalize.modes == (ObsMode.TOKEN, ObsMode.BLIND)
+    assert all(type(mode) is ObsMode for mode in cfg.generalize.modes)
+    assert canonical_text(cfg) == canonical_text(default_config())
+    assert "generalize.modes = token,blind\n" in canonical_text(cfg)
+
+
 def test_experiment_count_edges_accepted():
     cfg = parse_config_text(
         "[run]\nseeds = 7\n[ablation]\nupdates = 0\neval_episodes = 1\nterrain_episodes = 1\n"

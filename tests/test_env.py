@@ -38,6 +38,8 @@ from stairlab.world import (
     wrap_pi,
 )
 
+from helpers import BOUNDARY_SPECS, bits, boundary_positions, spec_id
+
 FLAT = StairSpec(StairClass.FLAT, 0.0, 0.0, 0.0, 1, 1.0, 1.0)
 
 
@@ -47,6 +49,13 @@ def stairs(h=0.12, d=0.30, yaw=0.0, n=8, lead=0.3):
 
 def blind_cfg(**kw):
     return EnvConfig(obs_mode=ObsMode.BLIND, **kw)
+
+
+def _next_riser_distance(profile, s):
+    """Oracle: distance from ``s`` to the first riser strictly ahead; 0 past the last."""
+    ahead = profile.riser_positions()
+    ahead = ahead[ahead > s]
+    return float(ahead[0] - s) if ahead.size else 0.0
 
 
 class TestReset:
@@ -288,7 +297,7 @@ class TestNextRiserDistance:
             env = StepperEnv(cfg, seed=5)
             obs = env.reset(stairs(h=0.14, d=0.30, yaw=yaw, n=8, lead=1.0))
             for stride in (0.25, 0.40, 0.28, 0.35):
-                truth = env.profile.next_riser_distance(env.s)
+                truth = _next_riser_distance(env.profile, env.s)
                 assert obs[6:9].argmax() == int(StairClass.STAIRS_UP)
                 assert obs[12] == pytest.approx(truth, abs=bin_width)
                 obs, _, done, _ = env.step((stride, 0.25, 0.0))
@@ -313,7 +322,7 @@ class TestNextRiserDistance:
             assert obs[12] == pytest.approx(expected, abs=1e-12)
             assert 0.0 < obs[12] <= d_est
             wrapped |= sensed - (env.s - s0) <= 0.0
-            truth = env.profile.next_riser_distance(env.s)
+            truth = _next_riser_distance(env.profile, env.s)
             assert obs[12] == pytest.approx(truth, abs=EstimatorConfig().profile_bin)
         assert wrapped
 
@@ -619,7 +628,7 @@ class FrozenStepper(StepperEnv):
                 self.spec, self.world_pose[2], self.world_pose[:2], cfg.sensor.window
             )
             token = self._perturb_token(token)
-            next_riser = self.profile.next_riser_distance(self.s)
+            next_riser = _next_riser_distance(self.profile, self.s)
         else:
             return self._tokens.token(self)
         return token, 0.0 if token.stair_class == StairClass.FLAT else next_riser
@@ -789,36 +798,9 @@ class TestScalarCoreOracle:
             assert env.step((stride, 0.25, 0.0))[3] == event
 
 
-def _bits(x: float) -> bytes:
-    return struct.pack("<d", x)
-
-
-# Depths where s / d misplaces a riser by one: 0.35 * 3 / 0.35 < 3, and the
-# float below 0.253 * 5, divided by 0.253, rounds up to 5.
-BOUNDARY_SPECS = [
-    StairSpec(StairClass.STAIRS_UP, 0.13, 0.35, 0.3, 8, 1.0, 0.8, 1.1, -0.6),
-    StairSpec(StairClass.STAIRS_UP, 0.1, 0.253, 0.0, 9, 1.0, 0.8),
-    StairSpec(StairClass.STAIRS_DOWN, 0.17, 0.289, -0.2, 9, 1.0, 0.8),
-    StairSpec(StairClass.STAIRS_DOWN, 0.1, 0.3, 0.0, 9, 1.0, 0.8),
-    StairSpec(StairClass.FLAT, 0.0, 0.0, 0.0, 4, 1.0, 0.8),
-]
-
-
-def _spec_id(spec):
-    return f"{spec.stair_class.name}-{spec.d_step}"
-
-
-def _boundary_positions(spec):
-    """Each riser position, one ulp either side, zeros of both signs, and points off the flight."""
-    d = spec.d_step if spec.d_step > 0.0 else 0.3
-    risers = d * np.arange(spec.n_steps + 1, dtype=float)
-    out = [-0.0, 0.0, -d, -0.5 * d, -1e-300, 1e-300, 10.0, -10.0]
-    for r in risers.tolist():
-        out += [r, math.nextafter(r, -math.inf), math.nextafter(r, math.inf), r + 0.5 * d]
-    return out
-
-
 class TestScalarTerrainQueries:
+    """The profile's float queries, which the stepper makes, against its array queries."""
+
     def test_corpus_misplaces_risers_both_ways(self):
         # Dividing by d alone would put some riser on the wrong side of s.
         below = above = 0
@@ -829,36 +811,32 @@ class TestScalarTerrainQueries:
                 above += math.floor(math.nextafter(r, -math.inf) / d) >= k
         assert below and above
 
-    @pytest.mark.parametrize("spec", BOUNDARY_SPECS, ids=_spec_id)
+    @pytest.mark.parametrize("spec", BOUNDARY_SPECS, ids=spec_id)
     def test_height_matches_height_on_axis_bit_for_bit(self, spec):
-        env = StepperEnv(blind_cfg(), seed=0)
-        env.reset(spec)
-        for s in _boundary_positions(spec):
-            assert _bits(env._height(s)) == _bits(env.profile.height_on_axis(s)), s
+        profile = TerrainProfile(spec)
+        for s in boundary_positions(spec):
+            assert bits(profile.height(s)) == bits(profile.height_on_axis(s)), s
 
-    @pytest.mark.parametrize("spec", BOUNDARY_SPECS, ids=_spec_id)
+    @pytest.mark.parametrize("spec", BOUNDARY_SPECS, ids=spec_id)
     def test_next_riser_matches_riser_positions(self, spec):
-        env = StepperEnv(blind_cfg(), seed=0)
-        env.reset(spec)
-        for s in _boundary_positions(spec):
-            assert _bits(env._next_riser(s)) == _bits(env.profile.next_riser_distance(s)), s
+        profile = TerrainProfile(spec)
+        for s in boundary_positions(spec):
+            assert bits(profile.next_riser(s)) == bits(_next_riser_distance(profile, s)), s
 
-    @pytest.mark.parametrize("spec", BOUNDARY_SPECS[:4], ids=_spec_id)
+    @pytest.mark.parametrize("spec", BOUNDARY_SPECS[:4], ids=spec_id)
     def test_riser_at_foot_is_not_ahead(self, spec):
         # The query asks for risers strictly ahead: from s == k * d it returns riser k + 1.
-        env = StepperEnv(blind_cfg(), seed=0)
-        env.reset(spec)
-        risers = env.profile.riser_positions()
+        profile = TerrainProfile(spec)
+        risers = profile.riser_positions()
         for k, r in enumerate(risers.tolist()):
             want = risers[k + 1] - r if k + 1 < risers.size else 0.0
-            assert _bits(env._next_riser(r)) == _bits(float(want))
+            assert bits(profile.next_riser(r)) == bits(float(want))
 
-    @pytest.mark.parametrize("spec", BOUNDARY_SPECS[:4], ids=_spec_id)
+    @pytest.mark.parametrize("spec", BOUNDARY_SPECS[:4], ids=spec_id)
     def test_arc_terrain_matches_height_on_axis(self, spec):
-        env = StepperEnv(blind_cfg(), seed=0)
-        env.reset(spec)
+        profile = TerrainProfile(spec)
         u = np.linspace(0.0, 1.0, 31)
-        for s in _boundary_positions(spec):
+        for s in boundary_positions(spec):
             for ds in (0.3, -0.3, 0.0):
-                want = env.profile.height_on_axis(s + u * ds) - _SCUFF_EPS
-                assert np.array_equal(env._arc_terrain(s, ds, u), want)
+                want = profile.height_on_axis(s + u * ds)
+                assert np.array_equal(profile.heights_along(s, ds, u), want)

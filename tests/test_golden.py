@@ -12,10 +12,18 @@ output byte or any draw fails here; such a change must record the new
 digests and say which outputs changed and why.
 
 The digests rest on numpy's sort and summation kernels, so they hold for
-the numpy version CI pins (2.4.6).
+the numpy version CI pins (2.4.6), and on BLAS running on one thread:
+the estimator net's products round differently when split across
+threads. ``stairlab`` pins BLAS to one thread on import, and
+``conftest.py`` pins it before the test modules import numpy, so the
+digests hold whatever ``OPENBLAS_NUM_THREADS`` the suite is run with.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from stairlab.config import parse_config_text
 from stairlab.experiments import (
@@ -101,34 +109,34 @@ GENERALIZE_ANALYTIC = (
 
 TRAINING_GOLDEN = {
     "train/default/curves.csv": (
-        "df232d1c5d76a1c7192766cf361eb888e8563ac66aecc828d18648a00519e456"
+        "cf358f1b4085535db48b0ca6c2920e1b9042c8525d4ec59c68007dc83c00bcc0"
     ),
     "train/default/policy/actor.mlp1": (
-        "1f8009c78f8e9ba4a41a33aa8f4140ae55839d895ad2c481d40eee0eaff99df4"
+        "e9bfb2dcdc3b744ceb055fad7cc388c006f3d350128bd0641c6fdae3e819a9bb"
     ),
     "train/default/policy/critic.mlp1": (
-        "bd543759191362bcb0c80bc3a46e3c743c00a7816ef29c915d6701615447c7f4"
+        "4325b528d54ee7c01e24c0e0aedd0eb6ea0e592d96f2ed0a3a6ac14c140843b7"
     ),
     "train/default/policy/log_std.txt": (
         "a157f791a640c3d00bec6ac14f6a69d66c52add177ec7f94aa6a7b4048604ded"
     ),
     "train/default/estimator.mlp1": (
-        "e6408c020396b52830d79572d4890b3628393937c5940952cdc58ed7212c647a"
+        "95fbf062f6770776d41d54f83c593ca114b852e08f1ba079f42a76834d3db3ec"
     ),
     "train/occluded_down_flips/curves.csv": (
-        "fa51c4581684f226ece9636b3fcd1006cf4054964b32a927d4a516c37e5b2d9d"
+        "c2c4c3624748b0c2da92a3e3a648c50b04a0e00413f50e2a1c153e0e0fc02abd"
     ),
     "train/occluded_down_flips/policy/actor.mlp1": (
-        "5c3ae16ceb28076f43a0ada6a005cde42ba016c0d78f4a19ab0c354717433bdb"
+        "5b7d1c48335e45c183b8c99e74134a6e878abe2bf2169936f580f80ff77425e8"
     ),
     "train/occluded_down_flips/policy/critic.mlp1": (
-        "603d8a6fd01d8d7e949152b1c5a11cb7decd2232c81bd28ad57d19bd6b94919d"
+        "c6071096e4f5dfa7667e957cdff15cf18293ea9920314dac90771f1b369f6acc"
     ),
     "train/occluded_down_flips/policy/log_std.txt": (
-        "eff0976aa2865c4200be704c57bcb0d862b2542c7787161227cf59c202684139"
+        "5701bb4f7957fcdcaf0720d9cc2cc0270f21d19c65281ece1badd6bd77240363"
     ),
     "train/occluded_down_flips/estimator.mlp1": (
-        "a3919575cc9fb1c8d3989bc8d5b8996d1c4fd0d99266a8d1b4a916f401dfb633"
+        "3e20856182c132202716605c8cd4ef5f2ca98ef87a66ce929e958667958805fb"
     ),
     "generalize/analytic/per_seed.csv": (
         "e282fc3e504e4052f38f193f0ebe72c395c39950bace97495f677b06dd9139e2"
@@ -254,3 +262,23 @@ def test_training_outputs_match_golden_bytes(tmp_path):
 
 def test_command_outputs_match_golden_bytes(tmp_path):
     assert command_digests(tmp_path) == COMMAND_GOLDEN
+
+
+def _cli_train_bytes(out_root, blas_threads: str) -> dict[str, bytes]:
+    """Bytes of the default tiny ``train``'s outputs, run by the CLI in a fresh process."""
+    out_root.mkdir()
+    config = out_root / "train.ini"
+    config.write_text(TRAIN.format(env="", extra=""))
+    env = {k: v for k, v in os.environ.items() if k != "STAIRLAB_OUT"}
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = blas_threads
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    command = [sys.executable, "-m", "stairlab.cli", "--config", str(config), "--out", str(out_root)]
+    subprocess.run([*command, "train"], env=env, check=True, capture_output=True)
+    return {name: (out_root / "train" / name).read_bytes() for name in TRAIN_FILES}
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Each process asks BLAS for its own thread count before stairlab is imported.
+    assert _cli_train_bytes(tmp_path / "one", "1") == _cli_train_bytes(tmp_path / "four", "4")

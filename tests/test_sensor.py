@@ -154,12 +154,12 @@ def frozen_scan(profile, robot_pose, model, seed):
     u, v = np.meshgrid(axis, axis, indexing="ij")
     u, v = u.ravel(), v.ravel()
     cos_h, sin_h = math.cos(heading), math.sin(heading)
-    s = profile._along_axis(x + u * cos_h - v * sin_h, y + u * sin_h + v * cos_h)
+    s = profile.along_axis(x + u * cos_h - v * sin_h, y + u * sin_h + v * cos_h)
     z = profile.height_on_axis(s)
     support = profile.height_at(x, y)
 
     if model.occlusion:
-        s0 = float(profile._along_axis(x, y))
+        s0 = float(profile.along_axis(x, y))
         keep = _line_of_sight_mask(profile, s0, s, z, support + model.sensor_height)
         u, v, z = u[keep], v[keep], z[keep]
 
@@ -225,8 +225,8 @@ def march_visible(profile, pose, xw, yw, z_true, support, sensor_height, ray_pit
 
 def line_of_sight(profile, pose, xw, yw, z_true, support, sensor_height):
     """``_line_of_sight_mask`` called as ``scan`` calls it, from world coordinates."""
-    s0 = float(profile._along_axis(pose[0], pose[1]))
-    s = profile._along_axis(xw, yw)
+    s0 = float(profile.along_axis(pose[0], pose[1]))
+    s = profile.along_axis(xw, yw)
     return _line_of_sight_mask(profile, s0, s, z_true, support + sensor_height)
 
 
@@ -244,9 +244,9 @@ def frozen_line_of_sight(profile, pose, xw, yw, z_true, support, sensor_height):
         edges = spec.h_step * (k + 1.0)
     else:
         edges = -spec.h_step * k
-    s0 = float(profile._along_axis(pose[0], pose[1]))
+    s0 = float(profile.along_axis(pose[0], pose[1]))
     z0 = support + sensor_height
-    ds = profile._along_axis(xw, yw) - s0
+    ds = profile.along_axis(xw, yw) - s0
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (risers[None, :] - s0) / ds[:, None]
         ray_z = z0 + t * (z_true - z0)[:, None]
@@ -459,7 +459,7 @@ class TestRiserRunMask:
         # blocks the ray; riser 2, the run's other end, does not.
         profile = axis_flight(StairClass.STAIRS_UP, 3, h=0.2, d=1.0)
         pose = (-5e-324, 0.0, 0.0)
-        assert profile._along_axis(pose[0], pose[1]) == -5e-324
+        assert profile.along_axis(pose[0], pose[1]) == -5e-324
         xw, yw, z = np.array([2.5]), np.array([0.0]), np.array([0.8])
         visible = assert_matches_oracle(profile, pose, xw, yw, z, 0.0, 0.1)
         assert visible.tolist() == [False]

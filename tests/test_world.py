@@ -16,6 +16,8 @@ from stairlab.world import (
     wrap_pi,
 )
 
+from helpers import BOUNDARY_SPECS, bits, boundary_positions, spec_id
+
 
 def spec_from_text(text: str) -> StairSpec:
     """Read back ``StairSpec.to_text``: one ``key = value`` line per field."""
@@ -213,6 +215,38 @@ class TestHeightAt:
         s = np.linspace(-1.0, 4.0, 2001)
         heights = profile.height_on_axis(s)
         assert np.all(np.diff(heights) >= 0.0)
+
+
+class TestFlightQueries:
+    """The profile's riser queries on the boundary corpus of the stepper's float queries."""
+
+    @pytest.mark.parametrize("spec", BOUNDARY_SPECS, ids=spec_id)
+    def test_edge_gap_is_the_distance_to_the_nearest_riser(self, spec):
+        profile = TerrainProfile(spec)
+        risers = profile.riser_positions()
+        for s in boundary_positions(spec):
+            want = float(np.min(np.abs(s - risers))) if risers.size else math.inf
+            assert bits(profile.edge_gap(s)) == bits(want), s
+
+    @pytest.mark.parametrize("spec", BOUNDARY_SPECS, ids=spec_id)
+    def test_riser_tops_are_the_higher_tread_at_each_riser(self, spec):
+        # The tread half a step past each riser going up, half a step before it going down.
+        profile = TerrainProfile(spec)
+        risers = profile.riser_positions()
+        half = 0.5 * spec.d_step
+        past = profile.height_on_axis(risers + half)
+        before = profile.height_on_axis(risers - half)
+        want = past if spec.stair_class == StairClass.STAIRS_UP else before
+        assert np.array_equal(profile.riser_tops(), want)
+        assert np.array_equal(profile.riser_tops(), np.maximum(past, before))
+
+    @pytest.mark.parametrize("spec", BOUNDARY_SPECS, ids=spec_id)
+    def test_start_pose_lies_mid_lead_flat(self, spec):
+        profile = TerrainProfile(spec)
+        x, y, heading = profile.start_pose()
+        assert profile.start_s == -spec.lead_flat / 2.0 and heading == 0.0
+        assert profile.along_axis(x, y) == pytest.approx(profile.start_s, abs=1e-12)
+        assert profile.height(profile.start_s) == 0.0
 
 
 class TestWrapPi:
