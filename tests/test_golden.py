@@ -17,6 +17,14 @@ the estimator net's products round differently when split across
 threads. ``stairlab`` pins BLAS to one thread on import, and
 ``conftest.py`` pins it before the test modules import numpy, so the
 digests hold whatever ``OPENBLAS_NUM_THREADS`` the suite is run with.
+
+The training and command digests also rest on numpy's SIMD level:
+``np.exp`` and ``np.log`` round differently in numpy's AVX2 and AVX-512
+loops. ``conftest.py`` disables the AVX-512 levels
+(``NPY_DISABLE_CPU_FEATURES``) unless the caller sets that variable, so
+these digests were recorded with the AVX2 loops and hold on any x86 CPU
+with AVX2. The perception digests hold at every level down to numpy's
+baseline.
 """
 
 import hashlib
@@ -24,6 +32,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from stairlab.config import parse_config_text
 from stairlab.experiments import (
@@ -109,34 +119,34 @@ GENERALIZE_ANALYTIC = (
 
 TRAINING_GOLDEN = {
     "train/default/curves.csv": (
-        "cf358f1b4085535db48b0ca6c2920e1b9042c8525d4ec59c68007dc83c00bcc0"
+        "6da68f5be1788b9c05f061b69bc813890a1877cb07bb6d5f81678e4e7977b743"
     ),
     "train/default/policy/actor.mlp1": (
-        "e9bfb2dcdc3b744ceb055fad7cc388c006f3d350128bd0641c6fdae3e819a9bb"
+        "f3d5ab942ec74bb98603f317ef2b0f8bc3c1c4b329c0a045b44432eb3074cda5"
     ),
     "train/default/policy/critic.mlp1": (
-        "4325b528d54ee7c01e24c0e0aedd0eb6ea0e592d96f2ed0a3a6ac14c140843b7"
+        "41a2be03a9cbf86deb80156d86ad9617369e24d132699ea785f0dee75ce9b845"
     ),
     "train/default/policy/log_std.txt": (
         "a157f791a640c3d00bec6ac14f6a69d66c52add177ec7f94aa6a7b4048604ded"
     ),
     "train/default/estimator.mlp1": (
-        "95fbf062f6770776d41d54f83c593ca114b852e08f1ba079f42a76834d3db3ec"
+        "5fc71cdf3a2f1c6204ef5d72366fa63e39f7a001acfd2a11e46b801b03da2498"
     ),
     "train/occluded_down_flips/curves.csv": (
-        "c2c4c3624748b0c2da92a3e3a648c50b04a0e00413f50e2a1c153e0e0fc02abd"
+        "49441042907cb2c63eee9a9e7664803ab597acca3aa3e366aa48b3d6fe3d7107"
     ),
     "train/occluded_down_flips/policy/actor.mlp1": (
-        "5b7d1c48335e45c183b8c99e74134a6e878abe2bf2169936f580f80ff77425e8"
+        "fd2eab20ef14e5e0eb576821814922cb43ccb6baf70b8377ced5a57d8d439947"
     ),
     "train/occluded_down_flips/policy/critic.mlp1": (
-        "c6071096e4f5dfa7667e957cdff15cf18293ea9920314dac90771f1b369f6acc"
+        "2fa89c5f96bbfba7ae4999413b0a581bc1f2571233bba0d0e28dfca4488f4cd2"
     ),
     "train/occluded_down_flips/policy/log_std.txt": (
-        "5701bb4f7957fcdcaf0720d9cc2cc0270f21d19c65281ece1badd6bd77240363"
+        "eff0976aa2865c4200be704c57bcb0d862b2542c7787161227cf59c202684139"
     ),
     "train/occluded_down_flips/estimator.mlp1": (
-        "3e20856182c132202716605c8cd4ef5f2ca98ef87a66ce929e958667958805fb"
+        "7ead490fbfc576c1b4baf4157e95ef10895f829d4be5d8c2a738b7a6b1d7361d"
     ),
     "generalize/analytic/per_seed.csv": (
         "e282fc3e504e4052f38f193f0ebe72c395c39950bace97495f677b06dd9139e2"
@@ -166,31 +176,31 @@ ABLATION_FILES = (
 
 COMMAND_GOLDEN = {
     "track/track.csv": (
-        "20b5ec8bfbbe8428238cc45e0b9c715280e0d8c2d04181e003c846549de6f3cc"
+        "fda68319383205e43122c989012cb42868069c52c07f44c36a41341152d990be"
     ),
     "ablation/curves_blind_seed1.csv": (
-        "cab8ecdda3df0375920e26066c7252d37d12c26ca6e78e84e0d1cb62710f3ff9"
+        "a0576c0f84b3e1c6877f2278d2954eabf54439be5339367b03e4b17fae7e413d"
     ),
     "ablation/curves_blind_seed2.csv": (
-        "374e0d8df8e14f541ddff647363ac44333309597dfb7b16ab19f62d6451260d5"
+        "d7c7223901f7387a4da41469f288f268d96c572ef0097f51b00fe426b96665c5"
     ),
     "ablation/curves_heightscan_seed1.csv": (
-        "7590a20d2615c401b80e0087602e49bae7982b8938bb4b4f51487b0b456150ce"
+        "a2db541188dfad26985c72279ae53e945a207430bc0ba2ef91e5db8dcb8a3123"
     ),
     "ablation/curves_heightscan_seed2.csv": (
-        "9321b4b9c9e472befbb64a1dbf358de2b696addb81a9d9f3d81a55b3a31b34f8"
+        "a6f7cca37c627c0a88532c50050f42b60eea6d113b9b8b625008f6c212f51fb8"
     ),
     "ablation/curves_token_seed1.csv": (
-        "e0c1eb4cc7fab0d8164e933d1789cd51ab9eac6748ba718bd5ff072c4ffeb74a"
+        "fd0bc966ea325330397e4400b4f4ce785edb0e429ea2d317e600d4f3c10abcbe"
     ),
     "ablation/curves_token_seed2.csv": (
-        "5c52469b3849fbe9cae70fe598eab032589977f41f671bd50a35f7dea6d16b57"
+        "df5de0a39a76689684a35f62ff695ccc25c0745743a5b64bb9f0c3097f1b910b"
     ),
     "ablation/per_seed.csv": (
-        "dcadcf4307767a4eb1538e882ebdfbf75b5f23591ba3525ae223260f4db8202e"
+        "8597120547d390afdea272a38c0c439445a20a899d40d425066e828c3d31829d"
     ),
     "ablation/summary.csv": (
-        "053b271569f60f63dd3f77b9a3f39cb869518c718dbb107aa7cb89a734fbd939"
+        "29b7d06cd36bbd9c45ee2a88b6e2fff28d9ff796be0e029a3d1396b15528ef96"
     ),
 }
 
@@ -262,6 +272,15 @@ def test_training_outputs_match_golden_bytes(tmp_path):
 
 def test_command_outputs_match_golden_bytes(tmp_path):
     assert command_digests(tmp_path) == COMMAND_GOLDEN
+
+
+def test_numpy_runs_without_its_avx512_loops():
+    # conftest.py sets the pin before anything imports numpy; a caller's own setting stays.
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    if "X86_V4" not in os.environ["NPY_DISABLE_CPU_FEATURES"].split():
+        pytest.skip("the caller chose other SIMD levels")
+    assert not __cpu_features__.get("X86_V4", False)
 
 
 def _cli_train_bytes(out_root, blas_threads: str) -> dict[str, bytes]:
