@@ -131,33 +131,68 @@ def _bin_table(
     return table
 
 
+@functools.lru_cache(maxsize=8)
+def _full_grid_counts(
+    yaw_range_deg: tuple[float, float], yaw_pitch_deg: float, bin_width: float
+) -> tuple[int, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
+    """Bin counts of a fully occupied grid, for every row of ``_bin_table``.
+
+    Returns the number of bins the table spans (its largest bin plus one)
+    and, per table row, the bins that hold cells in bin order, the same
+    bins shifted by that number, and their cell counts as floats. All
+    read-only; the counts are whole numbers, so a score that divides by
+    them has the bits of one that counts its bins itself.
+    """
+    table = _bin_table(yaw_range_deg, yaw_pitch_deg, bin_width)
+    n_bins = int(table.max()) + 1
+    rows = []
+    for row in table:
+        counts = np.bincount(row, minlength=n_bins)
+        held = np.flatnonzero(counts)
+        arrays = (held, held + n_bins, counts[held].astype(float))
+        for a in arrays:
+            a.flags.writeable = False
+        rows.append(arrays)
+    return n_bins, tuple(rows)
+
+
 def _alignment_scores(grid: BevGrid, cfg: EstimatorConfig, rows: np.ndarray) -> np.ndarray:
     """Mean within-bin variance of cell heights along the candidate axes ``rows``.
 
     The table rows are taken in one call, and their occupied columns in one
-    more unless every cell is occupied. Each score sums the same values in
-    the same order as a loop over ``table[row, cells]`` would, so it is the
-    same to the bit.
+    more unless every cell is occupied; then each row's bin counts come
+    from ``_full_grid_counts``. One ``bincount`` per row sums z into bins
+    ``b`` and z * z into bins ``n_bins + b``. Each bin adds its values in
+    the order of a loop over ``table[row, cells]``, so every score is the
+    same to the bit as with one ``bincount`` per sum.
     """
-    table = _bin_table(tuple(cfg.yaw_range_deg), cfg.yaw_pitch_deg, cfg.profile_bin)
+    key = (tuple(cfg.yaw_range_deg), cfg.yaw_pitch_deg, cfg.profile_bin)
+    table = _bin_table(*key)
+    n_bins, full_counts = _full_grid_counts(*key)
     z = grid.data[CH_MEAN].ravel()
     block = table[rows]
-    if not grid.occupancy.all():
+    full = grid.occupancy.all()
+    if not full:
         cells = np.flatnonzero(grid.occupancy)
         z = z[cells]
         block = np.take(block, cells, axis=1)
-    zz = z * z
+    m = z.shape[0]
+    weights = np.concatenate([z, z * z])
+    bins = np.empty(2 * m, dtype=np.intp)
     scores = np.empty(rows.shape[0])
-    for i, bins in enumerate(block):
-        # bincount casts its input to intp; cast once instead of per call.
-        bins = bins.astype(np.intp)
-        counts = np.bincount(bins)
-        sums = np.bincount(bins, weights=z)
-        sumsq = np.bincount(bins, weights=zz)
-        occupied = counts > 0
-        n = counts[occupied]
-        mean = sums[occupied] / n
-        var = np.maximum(sumsq[occupied] / n - mean * mean, 0.0)
+    for i, row in enumerate(rows.tolist()):
+        bins[:m] = block[i]
+        bins[m:] = block[i]
+        bins[m:] += n_bins
+        both = np.bincount(bins, weights=weights, minlength=2 * n_bins)
+        if full:
+            held, held_sq, n = full_counts[row]
+        else:
+            counts = np.bincount(bins[:m], minlength=n_bins)
+            held = np.flatnonzero(counts)
+            held_sq, n = held + n_bins, counts[held]
+        mean = both[held] / n
+        var = np.maximum(both[held_sq] / n - mean * mean, 0.0)
         # var.mean(), without its Python-level overhead.
         scores[i] = np.add.reduce(var) / var.size
     return scores

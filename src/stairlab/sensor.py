@@ -1,10 +1,26 @@
-"""Robot-centric terrain scanning with Gaussian depth noise and dropout."""
+"""Robot-centric terrain scanning with Gaussian depth noise and dropout.
+
+The sensing window is sampled on a fixed lattice in the robot frame,
+cached per (window, pitch) by ``_lattice``. A cloud that holds the whole
+lattice, in lattice order with x and y exactly the lattice's, records its
+(window, pitch) in ``PointCloud.lattice``; ``bev.project`` reads each
+point's grid cell for such a cloud from a layout cached per lattice. Only
+``scan`` sets the mark, and only when it keeps every lattice point: clouds
+read from files or built from arrays, and the subsets that occlusion or
+``dropout`` leave, carry none.
+
+``scan`` keeps its lattice-sized temporaries (world x and y, along-axis
+position, heights and noise) in a workspace cached per (window, pitch),
+so a warm call allocates only the cloud it returns. The workspace is
+overwritten by the next scan of the same lattice, and nothing returned
+refers to it. Like the rest of the package, it assumes one thread.
+"""
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,9 +30,17 @@ from .world import TerrainProfile
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Robot-centric 3-D samples, (N, 3) float64: x forward, y left, z up."""
+    """Robot-centric 3-D samples, (N, 3) float64: x forward, y left, z up.
+
+    ``lattice`` is the (window, pitch) of the scan lattice when the cloud
+    holds that whole lattice in lattice order, and None otherwise. Only
+    ``scan`` sets it; it is not a constructor argument, so a cloud built
+    from arrays, or by ``dataclasses.replace``, carries none, and it takes
+    no part in equality.
+    """
 
     points: np.ndarray
+    lattice: tuple[float, float] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -73,6 +97,12 @@ def _lattice(window: float, pitch: float) -> tuple[np.ndarray, np.ndarray]:
     u.flags.writeable = False
     v.flags.writeable = False
     return u, v
+
+
+@functools.lru_cache(maxsize=16)
+def _workspace(window: float, pitch: float) -> np.ndarray:
+    """``scan``'s scratch rows for the lattice: world x, world y, along-axis s, heights, noise."""
+    return np.empty((5, _lattice(window, pitch)[0].shape[0]))
 
 
 # Within this distance below the 1e-9 threshold the margins at the ends
@@ -169,33 +199,54 @@ def scan(
     queried against the exact heightfield, perturbed with independent
     Gaussian z-noise, and returned in the robot frame with z relative to
     the robot's current support height. Deterministic per seed. The
-    lattice is cached per (window, pitch), and the cloud is written into
-    one (N, 3) array.
+    lattice and the temporaries are cached per (window, pitch) (module
+    docstring), and the cloud is written into one fresh (N, 3) array,
+    marked as the whole lattice when every lattice point is kept.
     """
     x, y, heading = robot_pose
     if not all(math.isfinite(v) for v in (x, y, heading)):
         raise ValueError("robot pose must be finite")
     rng = np.random.default_rng(seed)
 
-    u, v = _lattice(model.window, model.sample_pitch)
+    lattice = (model.window, model.sample_pitch)
+    u, v = _lattice(*lattice)
+    wx, wy, s, z, noise = _workspace(*lattice)
     cos_h, sin_h = math.cos(heading), math.sin(heading)
-    s = profile.along_axis(x + u * cos_h - v * sin_h, y + u * sin_h + v * cos_h)
-    z = profile.height_on_axis(s)
+    # x + u * cos_h - v * sin_h and y + u * sin_h + v * cos_h, term by term.
+    np.multiply(u, cos_h, out=wx)
+    wx += x
+    wx -= np.multiply(v, sin_h, out=noise)
+    np.multiply(u, sin_h, out=wy)
+    wy += y
+    wy += np.multiply(v, cos_h, out=noise)
+    profile.along_axis(wx, wy, out=s)
+    profile.height_on_axis(s, out=z)
     support = profile.height_at(x, y)
 
     if model.occlusion:
         s0 = float(profile.along_axis(x, y))
         keep = _line_of_sight_mask(profile, s0, s, z, support + model.sensor_height)
-        u, v, z = u[keep], v[keep], z[keep]
+        if not keep.all():
+            # World x and y are spent, and s is once the mask is made.
+            m = int(np.count_nonzero(keep))
+            u = np.compress(keep, u, out=wx[:m])
+            v = np.compress(keep, v, out=wy[:m])
+            z = np.compress(keep, z, out=s[:m])
 
     if model.noise_sigma_z > 0.0:
-        z += rng.normal(0.0, model.noise_sigma_z, size=z.shape)
+        # The bytes of rng.normal(0.0, sigma, z.shape), drawn in place.
+        noise = rng.standard_normal(out=noise[: z.shape[0]])
+        noise *= model.noise_sigma_z
+        noise += 0.0
+        z += noise
 
     points = np.empty((z.shape[0], 3))
     points[:, 0] = u
     points[:, 1] = v
     np.subtract(z, support, out=points[:, 2])
     cloud = PointCloud(points)
+    if z.shape[0] == wx.shape[0]:  # every lattice point kept
+        object.__setattr__(cloud, "lattice", lattice)
     if model.dropout_rate > 0.0:
         cloud = dropout(cloud, model.dropout_rate, rng)
     return cloud

@@ -126,12 +126,24 @@ class TerrainProfile:
         self.n_risers = 0 if self.flat else spec.n_steps
         self.start_s = -spec.lead_flat / 2.0
 
-    def along_axis(self, x, y):
-        """Signed along-axis distance of world (x, y) past the first riser; accepts arrays."""
+    def along_axis(self, x, y, out=None):
+        """Signed along-axis distance of world (x, y) past the first riser; accepts arrays.
+
+        With ``out``, an array of the result's shape, the result is written
+        there and ``y``, which must then be a float array, is overwritten
+        on the way, so that no temporary is made.
+        """
         s = self.spec
-        return (np.asarray(x, dtype=float) - s.origin_x) * math.cos(s.stair_yaw) + (
-            np.asarray(y, dtype=float) - s.origin_y
-        ) * math.sin(s.stair_yaw)
+        if out is None:
+            return (np.asarray(x, dtype=float) - s.origin_x) * math.cos(s.stair_yaw) + (
+                np.asarray(y, dtype=float) - s.origin_y
+            ) * math.sin(s.stair_yaw)
+        np.subtract(x, s.origin_x, out=out)
+        out *= math.cos(s.stair_yaw)
+        y -= s.origin_y
+        y *= math.sin(s.stair_yaw)
+        out += y
+        return out
 
     def start_pose(self) -> tuple[float, float, float]:
         """World pose at ``start_s`` on the ascent axis, facing along the world x-axis."""
@@ -139,17 +151,28 @@ class TerrainProfile:
         ca, sa = math.cos(spec.stair_yaw), math.sin(spec.stair_yaw)
         return spec.origin_x + s0 * ca, spec.origin_y + s0 * sa, 0.0
 
-    def height_on_axis(self, s):
-        """Height as a function of signed along-axis distance past the first riser."""
+    def height_on_axis(self, s, out=None):
+        """Height as a function of signed along-axis distance past the first riser.
+
+        With ``out``, an array of ``s``'s shape, the heights are written
+        there, with the same bits, and ``out`` is returned.
+        """
         s = np.asarray(s, dtype=float)
+        if out is None:
+            out = np.empty_like(s)
         if self.flat:
-            out = np.zeros_like(s)
+            out[...] = 0.0
         elif self.up:
-            k = np.clip(np.floor(s / self.d) + 1.0, 0.0, self.n_risers)
-            out = self.h * k
+            np.divide(s, self.d, out=out)
+            np.floor(out, out=out)
+            out += 1.0
+            np.clip(out, 0.0, self.n_risers, out=out)
+            out *= self.h
         else:
-            k = np.clip(np.ceil(s / self.d), 0.0, self.n_risers)
-            out = -self.h * k
+            np.divide(s, self.d, out=out)
+            np.ceil(out, out=out)
+            np.clip(out, 0.0, self.n_risers, out=out)
+            out *= -self.h
         return float(out) if out.ndim == 0 else out
 
     def height_at(self, x, y):

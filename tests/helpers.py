@@ -1,7 +1,10 @@
 """Helpers shared by the test modules."""
 
+import inspect
 import math
 import struct
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -43,3 +46,52 @@ def boundary_positions(spec):
     for r in risers.tolist():
         out += [r, math.nextafter(r, -math.inf), math.nextafter(r, math.inf), r + 0.5 * d]
     return out
+
+
+def line_allocations(fn, *args) -> dict[tuple[str, int], int]:
+    """The most new memory live at once between two traced events of ``fn``, per source line.
+
+    Every line, call and return in every Python frame is an event, and the
+    memory made between two events is charged to the (file, line) of the
+    first, so a block of B bytes made and freed within one line reads at
+    least B there.
+    """
+    worst: dict[tuple[str, int], int] = {}
+    base = 0
+    where = ("", 0)
+
+    def trace(frame, event, arg):
+        nonlocal base, where
+        current, peak = tracemalloc.get_traced_memory()
+        worst[where] = max(worst.get(where, 0), peak - base)
+        tracemalloc.reset_peak()
+        base = current
+        where = (frame.f_code.co_filename, frame.f_lineno)
+        return trace
+
+    previous = sys.gettrace()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sys.settrace(trace)
+        try:
+            fn(*args)
+        finally:
+            sys.settrace(previous)
+    finally:
+        tracemalloc.stop()
+    return worst
+
+
+def largest_line_allocation(fn, *args) -> int:
+    """The most new memory live at once between two traced events of ``fn``, over all lines."""
+    return max(line_allocations(fn, *args).values(), default=0)
+
+
+def source_line(fn, text: str) -> tuple[str, int]:
+    """The (file, line) of the one line of ``fn``'s source that holds ``text``."""
+    lines, first = inspect.getsourcelines(fn)
+    found = [first + i for i, line in enumerate(lines) if text in line]
+    assert len(found) == 1, (fn, text, found)
+    return fn.__code__.co_filename, found[0]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stairlab import bev
+from stairlab import bev, sensor
 from stairlab.bev import (
     CH_DENSITY,
     CH_MAX,
@@ -20,12 +20,13 @@ from stairlab.bev import (
     read_grid,
     write_grid,
 )
+from stairlab.cloud_io import read_xyz, write_xyz
 from stairlab.config import parse_config_text
 from stairlab.experiments import _benchmark_ranges, benchmark_case
 from stairlab.sensor import PointCloud, SensorModel, dropout, scan
 from stairlab.world import ParameterRanges, StairClass, StairSpec, TerrainProfile, generate_stairs
 
-from helpers import with_class
+from helpers import line_allocations, source_line, with_class
 
 
 def cloud_of(points) -> PointCloud:
@@ -383,6 +384,127 @@ class TestKeyValueOrder:
             for case_seed in np.random.SeedSequence(5).spawn(30):
                 benchmark_case(cfg, ranges, case_seed)
         assert fallbacks == []
+
+
+# Every window and pitch the lattice path is checked on: the default, two
+# narrower windows, and a raw sensor wider than the grid, whose outer
+# lattice points fall outside it.
+LATTICE_WINDOWS = (3.0, 2.0, 1.0, 3.4)
+LATTICE_PITCHES = (0.02, 0.03, 0.05)
+
+
+def random_pose(rng, spec):
+    """A pose before, on or past the flight, off its axis, at any heading."""
+    s = rng.uniform(-spec.lead_flat, spec.n_steps * max(spec.d_step, 0.3) + 1.0)
+    ca, sa = math.cos(spec.stair_yaw), math.sin(spec.stair_yaw)
+    lat = rng.uniform(-0.5, 0.5)
+    return s * ca - lat * sa, s * sa + lat * ca, rng.uniform(-math.pi, math.pi)
+
+
+def mixed_zero_cells(cloud: PointCloud) -> int:
+    """Cells that hold z = 0.0 with both signs."""
+    pts = cloud.points
+    cell = np.floor((pts[:, 0] + 1.5) / RESOLUTION) * GRID_SIZE + np.floor((pts[:, 1] + 1.5) / RESOLUTION)
+    zero = pts[:, 2] == 0.0
+    negative = np.signbit(pts[:, 2])
+    return np.intersect1d(cell[zero & negative], cell[zero & ~negative]).size
+
+
+class TestLatticePath:
+    @pytest.mark.parametrize("stair_class", list(StairClass), ids=lambda c: c.name.lower())
+    @pytest.mark.parametrize("window", LATTICE_WINDOWS)
+    def test_whole_lattice_matches_lexsort_oracle(self, stair_class, window):
+        # Random poses and one just before the first riser, where a
+        # noise-free down-flight holds zeros of both signs within cells.
+        rng = np.random.default_rng(int(stair_class) * 10 + int(window * 10))
+        ranges = with_class(ParameterRanges(stair_yaw=(-math.pi, math.pi)), stair_class)
+        mixed = 0
+        for pitch in LATTICE_PITCHES:
+            for noise in (0.0, 0.01):
+                model = SensorModel(window, pitch, noise)
+                spec = generate_stairs(rng, ranges)
+                profile = TerrainProfile(spec)
+                near = -0.5 * max(spec.d_step, 0.3)
+                ca, sa = math.cos(spec.stair_yaw), math.sin(spec.stair_yaw)
+                for pose in (random_pose(rng, spec), random_pose(rng, spec), (near * ca, near * sa, 0.0)):
+                    cloud = scan(profile, pose, model, rng)
+                    assert cloud.lattice == (window, pitch)
+                    grid = project(cloud)
+                    assert_bits_equal(grid, lexsort_project(cloud))
+                    assert_bits_equal(grid, project(PointCloud(cloud.points)))
+                    mixed += mixed_zero_cells(cloud)
+        if stair_class == StairClass.STAIRS_DOWN:
+            assert mixed > 0
+
+    def test_file_round_trip_takes_the_general_path_to_the_same_grid(self, tmp_path):
+        rng = np.random.default_rng(31)
+        ranges = ParameterRanges(class_weights=(1.0, 1.0, 1.0))
+        for i in range(6):
+            spec = generate_stairs(rng, ranges)
+            noise = 0.0 if i % 2 else 0.01
+            cloud = scan(TerrainProfile(spec), random_pose(rng, spec), SensorModel(noise_sigma_z=noise), rng)
+            path = tmp_path / f"{i}.xyz"
+            write_xyz(path, cloud)
+            back = read_xyz(path)
+            assert back.lattice is None
+            assert back.points.tobytes() == cloud.points.tobytes()
+            assert_bits_equal(project(back), project(cloud))
+
+    def test_default_layout(self):
+        layout = bev._lattice_layout(3.0, 0.02)
+        assert layout.blocks == ((0, 3600, 4), (3600, 14400, 6), (14400, 22500, 9))
+        assert np.array_equal(np.sort(layout.z_index), 3 * np.arange(22500) + 2)
+        assert layout.occupancy.all()
+        assert bev._lattice_layout(3.0, 0.02) is layout
+        assert not layout.occupancy.flags.writeable
+
+    def test_points_outside_the_grid_are_dropped(self):
+        u, v = sensor._lattice(3.4, 0.02)
+        inside = (u >= -1.5) & (u < 1.5) & (v >= -1.5) & (v < 1.5)
+        layout = bev._lattice_layout(3.4, 0.02)
+        assert 0 < inside.sum() < u.size
+        assert np.array_equal(np.sort(layout.z_index), 3 * np.flatnonzero(inside) + 2)
+        assert layout.occupancy.all()
+
+    def test_subsets_take_the_general_path(self, monkeypatch):
+        calls = []
+        real = bev._project_lattice
+        monkeypatch.setattr(bev, "_project_lattice", lambda *a: calls.append(1) or real(*a))
+        profile = TerrainProfile(StairSpec(StairClass.STAIRS_DOWN, 0.2, 0.3, 0.0, 8, 1.0, 0.8))
+        occluded = scan(profile, (0.0, 0.0, 0.0), SensorModel(occlusion=True), 0)
+        dropped = scan(profile, (0.0, 0.0, 0.0), SensorModel(dropout_rate=0.1), 0)
+        for cloud in (occluded, dropped):
+            assert cloud.lattice is None
+            assert_bits_equal(project(cloud), lexsort_project(cloud))
+        assert not calls
+        project(scan(profile, (0.0, 0.0, 0.0), SensorModel(), 0))
+        assert calls == [1]
+
+
+class TestLatticeWorkspace:
+    def test_grids_are_fresh(self):
+        profile = TerrainProfile(StairSpec(StairClass.STAIRS_UP, 0.15, 0.3, 0.2, 8, 1.0, 0.8))
+        first = project(scan(profile, (-0.5, 0.0, 0.0), SensorModel(), 1))
+        kept = BevGrid(first.data.copy(), first.occupancy.copy())
+        second = project(scan(profile, (0.4, 0.1, 0.3), SensorModel(), 2))
+        assert_bits_equal(first, kept)
+        layout = bev._lattice_layout(3.0, 0.02)
+        for grid in (first, second):
+            for a in (grid.data, grid.occupancy):
+                assert not any(np.shares_memory(a, w) for w in (layout.z, layout.dev, layout.stats, layout.occupancy))
+        first.occupancy[0, 0] = False
+        assert layout.occupancy[0, 0]
+
+    def test_warm_scan_and_project_make_no_large_temporary(self):
+        # After warm-up, only the returned cloud and grid take 128 KB or more
+        # on one line; the default lattice's arrays are 180 KB each.
+        profile = TerrainProfile(StairSpec(StairClass.STAIRS_DOWN, 0.15, 0.3, 0.2, 8, 1.0, 0.8))
+        model = SensorModel()
+        project(scan(profile, (-0.5, 0.0, 0.1), model, 0))
+        worst = line_allocations(lambda: project(scan(profile, (-0.5, 0.0, 0.1), model, 1)))
+        outputs = {source_line(sensor.scan, "points = np.empty("), source_line(project, "data = np.zeros(")}
+        assert all(worst.get(line, 0) >= 128 * 1024 for line in outputs)
+        assert {line: b for line, b in worst.items() if b >= 128 * 1024 and line not in outputs} == {}
 
 
 class TestGridFile:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stairlab import estimator
-from stairlab.bev import GRID_SIZE, project
+from stairlab.bev import CH_MEAN, GRID_SIZE, project
 from stairlab.errors import ConfigError
 from stairlab.estimator import (
     EstimatorConfig,
@@ -12,6 +12,7 @@ from stairlab.estimator import (
     _alignment_scores,
     _bin_table,
     _candidate_angles,
+    _full_grid_counts,
     _occupied_cells,
     analyze_steps,
     estimate_token,
@@ -72,6 +73,30 @@ def loop_alignment_scores(grid, cfg):
         mean = sums[occupied] / n
         var = np.maximum(sumsq[occupied] / n - mean * mean, 0.0)
         scores[i] = var.mean()
+    return scores
+
+
+def two_bincount_scores(grid, cfg, rows):
+    """Oracle: ``_alignment_scores`` with one ``bincount`` per sum and counts made per call."""
+    table = _bin_table(tuple(cfg.yaw_range_deg), cfg.yaw_pitch_deg, cfg.profile_bin)
+    z = grid.data[CH_MEAN].ravel()
+    block = table[rows]
+    if not grid.occupancy.all():
+        cells = np.flatnonzero(grid.occupancy)
+        z = z[cells]
+        block = np.take(block, cells, axis=1)
+    zz = z * z
+    scores = np.empty(rows.shape[0])
+    for i, bins in enumerate(block):
+        bins = bins.astype(np.intp)
+        counts = np.bincount(bins)
+        sums = np.bincount(bins, weights=z)
+        sumsq = np.bincount(bins, weights=zz)
+        occupied = counts > 0
+        n = counts[occupied]
+        mean = sums[occupied] / n
+        var = np.maximum(sumsq[occupied] / n - mean * mean, 0.0)
+        scores[i] = np.add.reduce(var) / var.size
     return scores
 
 
@@ -177,6 +202,28 @@ class TestTableOracle:
                 assert _alignment_scores(grid, cfg, every).tobytes() == oracle.tobytes()
                 some = rng.permutation(every)[:7]
                 assert _alignment_scores(grid, cfg, some).tobytes() == oracle[some].tobytes()
+
+    def test_scores_bit_identical_to_two_bincounts(self, oracle_grids):
+        # Fully occupied grids read their bin counts from the cache.
+        assert sum(grid.occupancy.all() for grid in oracle_grids) >= 5
+        for grid in oracle_grids:
+            for cfg in ORACLE_CONFIGS:
+                every = np.arange(len(_candidate_angles(cfg.yaw_range_deg, cfg.yaw_pitch_deg)))
+                want = two_bincount_scores(grid, cfg, every)
+                assert _alignment_scores(grid, cfg, every).tobytes() == want.tobytes()
+                assert _alignment_scores(grid, cfg, every[::-3]).tobytes() == want[::-3].tobytes()
+
+    def test_full_grid_counts_are_cached_read_only(self):
+        key = (CFG.yaw_range_deg, CFG.yaw_pitch_deg, CFG.profile_bin)
+        n_bins, rows = _full_grid_counts(*key)
+        table = _bin_table(*key)
+        assert n_bins == int(table.max()) + 1 and len(rows) == table.shape[0]
+        for row, (held, held_sq, n) in zip(table, rows):
+            counts = np.bincount(row)
+            assert np.array_equal(held, np.flatnonzero(counts))
+            assert np.array_equal(held_sq, held + n_bins) and np.array_equal(n, counts[held])
+            assert not (held.flags.writeable or held_sq.flags.writeable or n.flags.writeable)
+        assert _full_grid_counts(*key)[1] is rows
 
     def test_yaw_bit_identical_to_full_search(self, oracle_grids, monkeypatch):
         calls = scored_rows(monkeypatch)

@@ -1,6 +1,4 @@
 import math
-import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +24,8 @@ from stairlab.nn import (
     terrain_loss_grad,
 )
 from stairlab.ppo import GaussianPolicy, collect, make_ensemble, ppo_update
+
+from helpers import largest_line_allocation
 
 
 def empty_grid() -> BevGrid:
@@ -379,37 +379,6 @@ class TestWorkspaceBitIdentity:
         assert live_params.keys() == ref_params.keys()
         for k in live_params:
             assert_bits_equal(live_params[k], ref_params[k])
-
-
-def largest_line_allocation(fn, *args) -> int:
-    """Bytes of the most new memory live at once between two traced events of ``fn``.
-
-    Every line, call and return in every Python frame is an event, so a
-    block of B bytes made and freed within one line reads at least B.
-    """
-    worst = base = 0
-
-    def trace(frame, event, arg):
-        nonlocal worst, base
-        current, peak = tracemalloc.get_traced_memory()
-        worst = max(worst, peak - base)
-        tracemalloc.reset_peak()
-        base = current
-        return trace
-
-    previous = sys.gettrace()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        sys.settrace(trace)
-        try:
-            fn(*args)
-        finally:
-            sys.settrace(previous)
-    finally:
-        tracemalloc.stop()
-    return worst
 
 
 class TestWorkspaceContract:

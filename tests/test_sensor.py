@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,6 +205,44 @@ class TestFrozenScanOracle:
         assert _lattice(3.0, 0.02)[0] is u
         assert not u.flags.writeable and not v.flags.writeable
         assert np.array_equal(cloud.points[:, 0], u) and np.array_equal(cloud.points[:, 1], v)
+
+
+class TestLatticeMark:
+    def test_whole_lattice_scans_are_marked(self):
+        assert scan(stairs_profile(), (0.0, 0.0, 0.1), SensorModel(), 1).lattice == (3.0, 0.02)
+        narrow = SensorModel(window=2.2, sample_pitch=0.045)
+        assert scan(stairs_profile(), (0.0, 0.0, 0.1), narrow, 1).lattice == (2.2, 0.045)
+        # Up-flights hide nothing, so an occluding sensor keeps the whole lattice.
+        occluding = SensorModel(occlusion=True)
+        assert scan(stairs_profile(), (-0.5, 0.0, 0.0), occluding, 1).lattice == (3.0, 0.02)
+
+    def test_subsets_are_not_marked(self):
+        down = TerrainProfile(StairSpec(StairClass.STAIRS_DOWN, 0.2, 0.3, 0.0, 8, 1.0, 0.8))
+        occluded = scan(down, (0.0, 0.0, 0.0), SensorModel(occlusion=True), 1)
+        assert len(occluded) < 150 * 150 and occluded.lattice is None
+        assert scan(down, (0.0, 0.0, 0.0), SensorModel(dropout_rate=0.1), 1).lattice is None
+        whole = scan(down, (0.0, 0.0, 0.0), SensorModel(), 1)
+        assert dropout(whole, 0.1, 2).lattice is None
+        assert dropout(whole, 0.0, 2).lattice is None
+
+    def test_built_clouds_are_not_marked_and_the_mark_takes_no_part_in_equality(self, tmp_path):
+        cloud = scan(stairs_profile(), (0.0, 0.0, 0.1), SensorModel(), 1)
+        rebuilt = PointCloud(cloud.points)
+        assert rebuilt.lattice is None and rebuilt == cloud
+        assert replace(cloud, points=cloud.points[::-1]).lattice is None
+        write_xyz(tmp_path / "c.xyz", cloud)
+        write_ply(tmp_path / "c.ply", cloud)
+        assert read_xyz(tmp_path / "c.xyz").lattice is None
+        assert read_ply(tmp_path / "c.ply").lattice is None
+        with pytest.raises(TypeError):
+            PointCloud(cloud.points, (3.0, 0.02))
+
+    def test_cloud_is_fresh(self):
+        first = scan(stairs_profile(), (0.0, 0.0, 0.1), SensorModel(), 1)
+        kept = first.points.copy()
+        scan(stairs_profile(), (0.3, 0.2, -0.1), SensorModel(), 2)
+        assert first.points.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first.points, sensor._workspace(3.0, 0.02))
 
 
 def march_visible(profile, pose, xw, yw, z_true, support, sensor_height, ray_pitch):

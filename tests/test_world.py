@@ -249,6 +249,29 @@ class TestFlightQueries:
         assert profile.height(profile.start_s) == 0.0
 
 
+class TestOutArguments:
+    """``along_axis`` and ``height_on_axis`` write into ``out`` with the bits of the fresh result."""
+
+    @pytest.mark.parametrize("spec", BOUNDARY_SPECS, ids=spec_id)
+    def test_height_on_axis_out(self, spec):
+        profile = TerrainProfile(spec)
+        s = np.array(boundary_positions(spec))
+        out = np.full_like(s, np.nan)
+        assert profile.height_on_axis(s, out=out) is out
+        assert out.tobytes() == profile.height_on_axis(s).tobytes()
+        assert profile.height_on_axis(float(s[2])) == profile.height_on_axis(s)[2]
+
+    @pytest.mark.parametrize("spec", BOUNDARY_SPECS, ids=spec_id)
+    def test_along_axis_out(self, spec):
+        rng = np.random.default_rng(17)
+        x, y = rng.uniform(-3.0, 3.0, (2, 500))
+        profile = TerrainProfile(spec)
+        want = profile.along_axis(x, y)
+        out, scratch = np.empty(500), y.copy()
+        assert profile.along_axis(x, scratch, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+
 class TestWrapPi:
     def test_wrap_near_pi_difference(self):
         # heading just below +pi vs stair yaw just above -pi: the small
