@@ -221,15 +221,7 @@ class TerrainProfile:
         the strict test agrees with ``riser_positions() > s`` at every
         boundary. 0 on flat terrain.
         """
-        d, n = self.d, self.n_risers
-        if not n:
-            return 0
-        k = min(max(math.floor(s / d) + 1, 0), n)
-        while k > 0 and d * (k - 1) > s:
-            k -= 1
-        while k < n and d * k <= s:
-            k += 1
-        return k
+        return _risers_through(self.d, self.n_risers, s)
 
     def next_riser(self, s: float) -> float:
         """Along-axis distance from ``s`` to the first riser strictly ahead; 0 past the last."""
@@ -244,6 +236,22 @@ class TerrainProfile:
         if k < self.n_risers:
             gap = min(gap, abs(s - self.d * k))
         return gap
+
+
+def _risers_through(d: float, n: int, s: float) -> int:
+    """How many of the risers at ``d * k``, k = 0 .. n - 1, lie at or behind ``s``.
+
+    The float search behind ``TerrainProfile.riser_ahead``: a guess from
+    ``s / d``, corrected by the products themselves.
+    """
+    if not n:
+        return 0
+    k = min(max(math.floor(s / d) + 1, 0), n)
+    while k > 0 and d * (k - 1) > s:
+        k -= 1
+    while k < n and d * k <= s:
+        k += 1
+    return k
 
 
 @dataclass(frozen=True)
@@ -348,7 +356,8 @@ def ground_truth_token(
 
     The token reports stair geometry only when the robot-centric
     ``window`` x ``window`` square (the sensing extent; callers pass the
-    sensor's ``window``) contains at least one riser line; otherwise it
+    sensor's ``window``) contains at least one riser line, at the riser
+    positions ``TerrainProfile`` uses, edges included; otherwise it
     degrades to the flat convention. Theta is the robot heading relative
     to the ascent axis, wrapped into (-pi, pi]; on flat terrain it is the
     robot heading itself.
@@ -364,10 +373,10 @@ def ground_truth_token(
     # Support of the rotated square window along the ascent axis.
     reach = half * (abs(cos_h * cos_a + sin_h * sin_a) + abs(-sin_h * cos_a + cos_h * sin_a))
     s_lo, s_hi = s_center - reach, s_center + reach
-    k_lo = math.ceil(s_lo / spec.d_step)
-    k_hi = math.floor(s_hi / spec.d_step)
-    has_riser = k_lo <= k_hi and k_hi >= 0 and k_lo <= spec.n_steps - 1
-    if not has_riser:
+    # A riser at d * k, placed as the profile places it, lies in [s_lo, s_hi]
+    # when fewer risers lie below s_lo than at or below s_hi.
+    below = _risers_through(spec.d_step, spec.n_steps, math.nextafter(s_lo, -math.inf))
+    if below == _risers_through(spec.d_step, spec.n_steps, s_hi):
         return TerrainToken(StairClass.FLAT, 0.0, 0.0, wrap_pi(robot_heading))
     return TerrainToken(
         spec.stair_class, spec.h_step, spec.d_step, wrap_pi(robot_heading - spec.stair_yaw)

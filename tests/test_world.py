@@ -293,6 +293,26 @@ class TestWrapPi:
                 assert -math.pi < theta <= math.pi
 
 
+def edge_placements(d: float, n: int, half: float):
+    """Robot x that put the near or the far window edge on each riser, and one ulp either side.
+
+    With heading 0, stair yaw 0 and the origin at 0, the window spans
+    [x - half, x + half] along the axis exactly; placements that no float
+    x reaches are skipped.
+    """
+    for k in range(n):
+        r = d * k
+        for edge in (math.nextafter(r, -math.inf), r, math.nextafter(r, math.inf)):
+            for sign in (-1.0, 1.0):
+                x = edge - sign * half
+                for _ in range(4):
+                    reached = x + sign * half
+                    if reached == edge:
+                        yield x
+                        break
+                    x = math.nextafter(x, math.inf if reached < edge else -math.inf)
+
+
 class TestGroundTruthToken:
     def test_copies_geometry_near_stairs(self):
         spec = up_spec(h=0.15, d=0.28, yaw=0.0)
@@ -323,6 +343,22 @@ class TestGroundTruthToken:
         spec = up_spec(h=0.15, d=0.28, yaw=0.0, n=3, tail=10.0)
         past = ground_truth_token(spec, 0.0, (3 * 0.28 + 2.0, 0.0), window=3.0)
         assert past.stair_class == StairClass.FLAT
+
+    @pytest.mark.parametrize("d", [0.35, 0.253, 0.289, 0.3, 0.27, 0.31])
+    def test_window_edges_agree_with_the_riser_positions(self, d):
+        # A 3.1 cm window holds at most one riser; at each edge placement
+        # the teacher sees stairs exactly when a riser position d * k lies
+        # inside the window, edges included.
+        window = 0.031
+        half = window / 2.0
+        spec = up_spec(d=d, n=9)
+        risers = TerrainProfile(spec).riser_positions()
+        placements = list(edge_placements(d, 9, half))
+        assert len(placements) >= 40
+        for x in placements:
+            inside = bool(np.any((x - half <= risers) & (risers <= x + half)))
+            token = ground_truth_token(spec, 0.0, (x, 0.0), window)
+            assert (token.stair_class == StairClass.STAIRS_UP) == inside, x
 
     def test_token_vector_layout(self):
         token = TerrainToken(StairClass.STAIRS_DOWN, 0.1, 0.3, -0.2)
