@@ -41,9 +41,10 @@ statistics helper, so the grid is the same bit for bit either way.
 
 The layout keeps a workspace of lattice-sized arrays (the gathered z,
 the deviations from the cell means, the statistics), which the next
-projection of the same lattice overwrites. The contract: the ``data``
-and ``occupancy`` of the grid ``project`` returns are fresh arrays, and
-nothing returned refers to a workspace.
+projection of the same lattice overwrites, so, like ``scan``'s, it
+assumes one thread. The contract: the ``data`` and ``occupancy`` of the
+grid ``project`` returns are fresh arrays, and nothing returned refers
+to a workspace.
 """
 
 from __future__ import annotations

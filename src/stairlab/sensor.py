@@ -34,9 +34,10 @@ class PointCloud:
 
     ``lattice`` is the (window, pitch) of the scan lattice when the cloud
     holds that whole lattice in lattice order, and None otherwise. Only
-    ``scan`` sets it; it is not a constructor argument, so a cloud built
-    from arrays, or by ``dataclasses.replace``, carries none, and it takes
-    no part in equality.
+    ``scan`` sets it, and makes such a cloud's points read-only; it is not
+    a constructor argument, so a cloud built from arrays, or by
+    ``dataclasses.replace``, carries none, and it takes no part in
+    equality.
     """
 
     points: np.ndarray
@@ -246,6 +247,8 @@ def scan(
     np.subtract(z, support, out=points[:, 2])
     cloud = PointCloud(points)
     if z.shape[0] == wx.shape[0]:  # every lattice point kept
+        # Read-only, so that no edit in place can make the mark untrue.
+        points.flags.writeable = False
         object.__setattr__(cloud, "lattice", lattice)
     if model.dropout_rate > 0.0:
         cloud = dropout(cloud, model.dropout_rate, rng)

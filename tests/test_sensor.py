@@ -214,7 +214,10 @@ class TestLatticeMark:
         assert scan(stairs_profile(), (0.0, 0.0, 0.1), narrow, 1).lattice == (2.2, 0.045)
         # Up-flights hide nothing, so an occluding sensor keeps the whole lattice.
         occluding = SensorModel(occlusion=True)
-        assert scan(stairs_profile(), (-0.5, 0.0, 0.0), occluding, 1).lattice == (3.0, 0.02)
+        whole = scan(stairs_profile(), (-0.5, 0.0, 0.0), occluding, 1)
+        assert whole.lattice == (3.0, 0.02)
+        with pytest.raises(ValueError):
+            whole.points[0, 0] = 1.0
 
     def test_subsets_are_not_marked(self):
         down = TerrainProfile(StairSpec(StairClass.STAIRS_DOWN, 0.2, 0.3, 0.0, 8, 1.0, 0.8))
