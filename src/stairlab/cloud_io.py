@@ -1,6 +1,6 @@
 """Point cloud file formats: plain XYZ text and an ASCII PLY subset.
 
-Both writers emit full-precision decimal floats so that a write/read
+``write_xyz`` emits full-precision decimal floats so that a write/read
 round trip reproduces the in-memory coordinates exactly. Both readers
 reject a non-numeric or non-finite coordinate, naming the path and line,
 and a file that does not decode as text, naming the path.
@@ -54,19 +54,6 @@ def read_xyz(path) -> PointCloud:
             raise ValueError(f"{path}: line {lineno}: expected 'x y z', got {raw!r}")
         pts.append(_point(path, lineno, parts))
     return PointCloud(np.asarray(pts, dtype=float).reshape(-1, 3))
-
-
-def write_ply(path, cloud: PointCloud) -> None:
-    header = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {len(cloud)}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "end_header",
-    ]
-    Path(path).write_text("\n".join(header + _lines(cloud)) + "\n")
 
 
 def read_ply(path) -> PointCloud:

@@ -18,6 +18,18 @@ so every result stays the same bit for bit. The contract:
 - ``backward`` returns fresh gradient arrays;
 - the output and activations that ``forward`` returns stay valid until
   the next ``forward`` on the same net with the same row count.
+
+``adam_step`` updates ``AdamState``'s moments in place and computes each
+parameter's step through one scratch array per parameter, kept in the
+state beside the moments. On the estimator's (128, 1350) first layer a
+fresh temporary is 1.35 MB, and an allocating step made about 14 of them.
+The ufuncs are the allocating form's, in its order, so parameters and
+moments keep every bit. The contract:
+
+- the returned parameters are fresh arrays, one per parameter;
+- the parameters and gradients passed in keep their bits;
+- a non-finite gradient raises before any moment changes;
+- ``state.m`` and ``state.v`` hold the same arrays from step to step.
 """
 
 from __future__ import annotations
@@ -215,30 +227,43 @@ class AdamState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    scratch: dict = field(default_factory=dict)  # per parameter, for the step's temporaries
 
 
 def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
-    """One Adam update with bias correction; returns the new parameter dict."""
+    """One Adam update with bias correction; returns the new parameter dict.
+
+    Computes ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``p - (lr*(m/c1)) / (sqrt(v/c2) + eps)`` in place (see the module
+    docstring for what stays valid).
+    """
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient in {name}")
     state.step += 1
     t = state.step
+    b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     out = {}
     for name, p in params.items():
         g = grads[name]
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p)
-            v = np.zeros_like(p)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        out[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+            state.scratch[name] = np.empty_like(p)
+        m, v, s = state.m[name], state.v[name], state.scratch[name]
+        np.multiply(b1, m, out=m)
+        m += np.multiply(1.0 - b1, g, out=s)
+        np.multiply(b2, v, out=v)
+        np.multiply(1.0 - b2, g, out=s)
+        v += np.multiply(s, g, out=s)
+        np.divide(m, c1, out=s)
+        np.multiply(state.lr, s, out=s)
+        new = np.divide(v, c2)
+        np.sqrt(new, out=new)
+        new += state.eps
+        s /= new
+        out[name] = np.subtract(p, s, out=new)
     return out
 
 

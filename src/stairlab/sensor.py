@@ -261,4 +261,4 @@ def dropout(cloud: PointCloud, rate: float, seed) -> PointCloud:
         raise ConfigError(f"dropout rate must lie in [0, 1], got {rate}")
     rng = np.random.default_rng(seed)
     keep = rng.random(len(cloud)) >= rate
-    return PointCloud(cloud.points[keep])
+    return PointCloud(np.compress(keep, cloud.points, axis=0))

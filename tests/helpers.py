@@ -6,9 +6,11 @@ import struct
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
+from stairlab.sensor import PointCloud
 from stairlab.world import ParameterRanges, StairClass, StairSpec
 
 
@@ -17,6 +19,21 @@ def with_class(ranges: ParameterRanges, stair_class: StairClass) -> ParameterRan
     weights = [0.0, 0.0, 0.0]
     weights[int(stair_class)] = 1.0
     return replace(ranges, class_weights=tuple(weights))
+
+
+def write_ply(path, cloud: PointCloud) -> None:
+    """Write ``cloud`` as ASCII PLY with full-precision float x, y, z, as the readers' input."""
+    header = [
+        "ply",
+        "format ascii 1.0",
+        f"element vertex {len(cloud)}",
+        "property float x",
+        "property float y",
+        "property float z",
+        "end_header",
+    ]
+    body = [f"{x!r} {y!r} {z!r}" for x, y, z in cloud.points.tolist()]
+    Path(path).write_text("\n".join(header + body) + "\n")
 
 
 def bits(x: float) -> bytes:

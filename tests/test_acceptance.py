@@ -40,6 +40,8 @@ from stairlab.sensor import PointCloud, SensorModel, scan
 from stairlab.world import StairClass, StairSpec, TerrainProfile
 from stairlab import cloud_io
 
+from helpers import write_ply
+
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -51,7 +53,7 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 def test_criterion_1_noisy_estimation_accuracy(tmp_path):
     cfg = default_config()  # benchmark defaults: 1000 configs, sigma_z = 0.01
     assert cfg.benchmark.n_configs == 1000
-    assert cfg.sensor.noise_sigma_z == 0.01
+    assert cfg.env.sensor.noise_sigma_z == 0.01
     t0 = time.time()
     summary = cmd_benchmark_estimator(cfg, tmp_path)
     elapsed = time.time() - t0
@@ -449,7 +451,7 @@ def test_criterion_10_round_trip(tmp_path, capsys):
 
     ok = True
     details = []
-    for fmt, writer in (("xyz", cloud_io.write_xyz), ("ply", cloud_io.write_ply)):
+    for fmt, writer in (("xyz", cloud_io.write_xyz), ("ply", write_ply)):
         path = tmp_path / f"cloud.{fmt}"
         writer(path, cloud)
         assert main(["ingest", str(path)]) == 0

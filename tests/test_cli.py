@@ -7,7 +7,7 @@ import pytest
 
 from stairlab.bev import read_grid
 from stairlab.cli import main
-from stairlab.cloud_io import read_xyz, write_ply, write_xyz
+from stairlab.cloud_io import read_xyz, write_xyz
 from stairlab.config import config_hash, default_config, parse_config_text
 from stairlab.estimator import estimate_token, format_token_record
 from stairlab.bev import project
@@ -19,6 +19,8 @@ from stairlab.experiments import (
 )
 from stairlab.sensor import SensorModel, scan
 from stairlab.world import StairClass, StairSpec, TerrainProfile
+
+from helpers import write_ply
 
 TINY = """
 [run]

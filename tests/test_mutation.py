@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from stairlab.bev import project, read_grid, write_grid
-from stairlab.cloud_io import read_ply, read_xyz, write_ply, write_xyz
+from stairlab.cloud_io import read_ply, read_xyz, write_xyz
 from stairlab.errors import StairlabError
 from stairlab.nn import Mlp, load_mlp, save_mlp
 from stairlab.sensor import SensorModel, scan
 from stairlab.world import StairClass, StairSpec, TerrainProfile
+
+from helpers import write_ply
 
 MUTANTS_PER_KIND = 12
 BAD_FLOATS = ("nan", "inf", "-inf", "NaN", "-Infinity")

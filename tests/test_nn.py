@@ -5,7 +5,7 @@ import pytest
 
 from stairlab.bev import BevGrid, GRID_SIZE, N_CHANNELS
 from stairlab.config import default_config
-from stairlab.env import OBS_DIM, TokenSource
+from stairlab.env import OBS_DIM, ObsMode, TokenSource
 from stairlab.errors import TrainingError
 from stairlab.nn import (
     AdamState,
@@ -316,6 +316,31 @@ class FrozenMlp(Mlp):
         return grads
 
 
+def frozen_adam_step(params: dict, grads: dict, state: AdamState) -> dict:
+    """Oracle: ``adam_step`` in its allocating form, with fresh moments and temporaries."""
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise TrainingError(f"non-finite gradient in {name}")
+    state.step += 1
+    t = state.step
+    out = {}
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m.get(name)
+        v = state.v.get(name)
+        if m is None:
+            m = np.zeros_like(p)
+            v = np.zeros_like(p)
+        m = state.beta1 * m + (1.0 - state.beta1) * g
+        v = state.beta2 * v + (1.0 - state.beta2) * g * g
+        state.m[name] = m
+        state.v[name] = v
+        m_hat = m / (1.0 - state.beta1**t)
+        v_hat = v / (1.0 - state.beta2**t)
+        out[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return out
+
+
 def frozen(net: Mlp) -> FrozenMlp:
     return FrozenMlp(net.sizes, [w.copy() for w in net.weights], [b.copy() for b in net.biases])
 
@@ -430,3 +455,75 @@ class TestWorkspaceContract:
         adam, rng = AdamState(lr=cfg.learning_rate), np.random.default_rng(26)
         ppo_update(policy, batch, cfg, adam, rng)
         assert largest_line_allocation(ppo_update, policy, batch, cfg, adam, rng) < 128 * 1024
+
+
+def estimator_params(rng) -> dict:
+    return build_estimator_net(rng).params()
+
+
+def policy_params(rng) -> dict:
+    return GaussianPolicy(OBS_DIM[ObsMode.TOKEN], rng).params()
+
+
+def wild_gradients(rng, params: dict) -> dict:
+    """Gradients over ten decades, with zeros of both signs."""
+    grads = {}
+    for k, p in params.items():
+        g = rng.normal(size=p.shape) * 10.0 ** rng.uniform(-8.0, 2.0, size=p.shape)
+        g.flat[::7] = 0.0
+        g.flat[::11] = -0.0
+        grads[k] = g
+    return grads
+
+
+class TestAdamInPlace:
+    """``adam_step`` updates its moments in place and keeps every bit of the allocating form."""
+
+    @pytest.mark.parametrize("make_params", [estimator_params, policy_params], ids=["estimator", "policy"])
+    def test_five_steps_match_the_allocating_form(self, make_params):
+        rng = np.random.default_rng(27)
+        params = make_params(rng)
+        ref_params = dict(params)
+        state, ref_state = AdamState(lr=1e-2), AdamState(lr=1e-2)
+        for _ in range(5):
+            grads = wild_gradients(rng, params)
+            kept = {k: (params[k].copy(), grads[k].copy()) for k in params}
+            new = adam_step(params, grads, state)
+            ref_params = frozen_adam_step(ref_params, grads, ref_state)
+            assert new.keys() == ref_params.keys() == state.m.keys() == state.v.keys()
+            for k in new:
+                assert_bits_equal(new[k], ref_params[k])
+                assert_bits_equal(state.m[k], ref_state.m[k])
+                assert_bits_equal(state.v[k], ref_state.v[k])
+                assert_bits_equal(params[k], kept[k][0])
+                assert_bits_equal(grads[k], kept[k][1])
+                held = (params[k], grads[k], state.m[k], state.v[k], state.scratch[k])
+                assert not any(np.shares_memory(new[k], a) for a in held)
+            params = new
+        assert state.step == ref_state.step == 5
+
+    def test_non_finite_gradient_leaves_the_moments(self):
+        rng = np.random.default_rng(28)
+        params = policy_params(rng)
+        state = AdamState()
+        adam_step(params, wild_gradients(rng, params), state)
+        kept = {k: (state.m[k].copy(), state.v[k].copy()) for k in state.m}
+        grads = wild_gradients(rng, params)
+        grads["log_std"][1] = np.inf
+        with pytest.raises(TrainingError, match="log_std"):
+            adam_step(params, grads, state)
+        for k, (m, v) in kept.items():
+            assert_bits_equal(state.m[k], m)
+            assert_bits_equal(state.v[k], v)
+
+    def test_estimator_step_makes_one_parameter_of_new_memory_at_most(self):
+        # Each new parameter is one fresh array; the moments and the step's
+        # temporaries live in the state. The allocating form read twice the
+        # (128, 1350) layer's 1,350 KB on one line.
+        rng = np.random.default_rng(29)
+        params = estimator_params(rng)
+        state = AdamState()
+        params = adam_step(params, wild_gradients(rng, params), state)
+        grads = wild_gradients(rng, params)
+        largest = max(p.nbytes for p in params.values())
+        assert largest_line_allocation(adam_step, params, grads, state) <= 1.05 * largest

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stairlab.cloud_io import read_cloud, read_ply, read_xyz, write_ply, write_xyz
+from stairlab.cloud_io import read_cloud, read_ply, read_xyz, write_xyz
 from stairlab.errors import ConfigError
 from stairlab import sensor
 from stairlab.sensor import (
@@ -17,7 +17,7 @@ from stairlab.sensor import (
 )
 from stairlab.world import ParameterRanges, StairClass, StairSpec, TerrainProfile, generate_stairs
 
-from helpers import with_class
+from helpers import with_class, write_ply
 
 
 def flat_profile():
@@ -119,6 +119,8 @@ class TestDropout:
         pts = np.column_stack([np.arange(1000.0), np.zeros(1000), np.zeros(1000)])
         out = dropout(PointCloud(pts), 0.3, seed=4)
         assert np.all(np.diff(out.points[:, 0]) > 0)
+        keep = np.random.default_rng(4).random(1000) >= 0.3
+        assert out.points.tobytes() == pts[keep].tobytes()
 
     def test_invalid_rate(self):
         with pytest.raises(ConfigError):
