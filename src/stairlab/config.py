@@ -50,6 +50,11 @@ class BenchmarkConfig:
     class_weights: tuple[float, float, float] = (0.0, 0.5, 0.5)
     dropout: float = 0.0
 
+    def __post_init__(self) -> None:
+        check_counts(self, "[benchmark] ", n_configs=1)
+        if not 0.0 <= self.dropout <= 1.0:
+            raise ConfigError(f"[benchmark] dropout must lie in [0, 1], got {self.dropout}")
+
 
 @dataclass(frozen=True)
 class AblationConfig:

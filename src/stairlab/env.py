@@ -144,7 +144,7 @@ def arc_heights(z0: float, z1: float, clearance: float, u: np.ndarray) -> np.nda
 
 _HEIGHTSCAN_OFFSETS = HEIGHTSCAN_SPACING * np.arange(1, HEIGHTSCAN_SAMPLES + 1)
 
-# TerrainToken.as_vector's class one-hot, indexed by class.
+# The token's class one-hot in the observation, indexed by class.
 _ONE_HOT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
@@ -339,6 +339,10 @@ class StepperEnv:
         token, next_riser = self._tokens.token(self)
         cls = _ONE_HOT[token.stair_class]
         return np.array(row + [*cls, token.h_step, token.d_step, token.theta, next_riser])
+
+    def refresh_due(self) -> bool:
+        """Whether this step is on the token-refresh schedule."""
+        return self._tokens.refresh_due(self)
 
     def supervision_sample(self) -> tuple[np.ndarray, int, float, float]:
         """Pooled BEV features of the current pose plus teacher labels."""

@@ -14,7 +14,7 @@ class TrainingError(StairlabError, RuntimeError):
 
 
 def check_counts(obj, prefix: str = "", **lows: int) -> None:
-    """Reject each count of ``obj`` named in ``lows`` that lies below its bound, 0 or 1.
+    """Reject each count or weight of ``obj`` named in ``lows`` that lies below its bound, 0 or 1.
 
     The message names the key, after ``prefix`` (the config section, where
     the key alone is ambiguous), and the value.

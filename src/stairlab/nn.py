@@ -4,44 +4,52 @@ multi-task terrain loss, and an Adam optimizer.
 Everything is plain float64 numpy with deterministic, order-fixed
 reductions so identical seeds reproduce identical parameters bit for bit.
 
-Each ``Mlp`` keeps a small workspace of preallocated arrays per batch row
-count, for its most recent ``WORKSPACE_ROWS`` row counts. ``forward``
-writes every layer's output into it, and ``backward`` its back-propagated
-deltas and tanh slopes. A (512, 64) float64 temporary is 256 KB, above
-glibc's mmap threshold, and the allocator hands such memory back to the
-kernel once it is freed, so a fresh temporary per layer made every
-minibatch of a PPO update fault its pages in again. The workspace runs
-the same operations in the same order with ``out=`` and in-place forms,
-so every result stays the same bit for bit. The contract:
+Each ``Mlp`` keeps all its parameters in one flat float64 vector
+``params``, laid out as an MLP1 checkpoint stores them (W0, b0, W1, b1,
+...): the checkpoint's body is the vector's bytes, and ``weights`` and
+``biases`` are views of it. ``backward`` writes the gradient into a
+second vector ``grads`` with the same layout, and ``adam_step`` updates
+a net's ``params`` in place from its ``grads``. A net may be built on
+slices of a larger pair of vectors: ``GaussianPolicy`` lays its actor,
+critic and log-std end to end in one.
+
+Each ``Mlp`` also keeps a small workspace of preallocated arrays per
+batch row count, for its most recent ``WORKSPACE_ROWS`` row counts.
+``forward`` writes every layer's output into it, and ``backward`` its
+back-propagated deltas and tanh slopes. A (512, 64) float64 temporary is
+256 KB, above glibc's mmap threshold, and the allocator hands such memory
+back to the kernel once it is freed, so a fresh temporary per layer made
+every minibatch of a PPO update fault its pages in again. The workspace
+runs the same operations in the same order with ``out=`` and in-place
+forms, so every result stays the same bit for bit. The contract:
 
 - ``net(x)`` returns a fresh array;
-- ``backward`` returns fresh gradient arrays;
+- ``backward`` returns ``net.grads``, valid until the next ``backward``;
 - the output and activations that ``forward`` returns stay valid until
   the next ``forward`` on the same net with the same row count.
 
-``adam_step`` updates ``AdamState``'s moments in place and computes each
-parameter's step through one scratch array per parameter, kept in the
-state beside the moments. On the estimator's (128, 1350) first layer a
-fresh temporary is 1.35 MB, and an allocating step made about 14 of them.
-The ufuncs are the allocating form's, in its order, so parameters and
-moments keep every bit. The contract:
+``AdamState`` holds one ``m``, one ``v`` and one (2, n) scratch array
+for the vector it steps, made on the first step. On the estimator's
+(128, 1350) first layer a fresh temporary is 1.35 MB, and an allocating
+step made about 14 of them. The ufuncs are the allocating form's, in its
+order, so parameters and moments keep every bit. The contract:
 
-- the returned parameters are fresh arrays, one per parameter;
-- the parameters and gradients passed in keep their bits;
-- a non-finite gradient raises before any moment changes;
+- ``net.params`` is updated in place and ``net.grads`` keeps its bits;
+- a non-finite gradient raises, naming the parameter, before any moment
+  or parameter changes;
 - ``state.m`` and ``state.v`` hold the same arrays from step to step.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .bev import GRID_SIZE, N_CHANNELS, BevGrid
-from .errors import TrainingError
+from .errors import TrainingError, check_counts
 
 POOL = 4
 POOLED_SIDE = GRID_SIZE // POOL
@@ -54,30 +62,58 @@ def pool_bev(grid: BevGrid) -> np.ndarray:
     return pooled.reshape(FEATURE_DIM)
 
 
+def _param_count(sizes) -> int:
+    """Length of the parameter vector of an MLP with these layer sizes."""
+    return sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+
+
+def _layer_views(vector: np.ndarray, sizes) -> tuple[list, list]:
+    """Each layer's (n_out, n_in) weight and (n_out,) bias, as views of ``vector``."""
+    weights, biases, offset = [], [], 0
+    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(vector[offset : offset + n_out * n_in].reshape(n_out, n_in))
+        offset += n_out * n_in
+        biases.append(vector[offset : offset + n_out])
+        offset += n_out
+    return weights, biases
+
+
 class Mlp:
     """Fully connected net, tanh hidden activations, linear output layer.
 
-    forward/backward operate on batches (B, n_in). backward consumes the
-    activations returned by forward. Both work in the net's workspace
-    (see the module docstring for what stays valid).
+    ``params`` and ``grads`` are flat float64 vectors in MLP1 order, which
+    the net views but does not copy. forward/backward operate on batches
+    (B, n_in). backward consumes the activations returned by forward. Both
+    work in the net's workspace (see the module docstring for what stays
+    valid).
     """
 
     WORKSPACE_ROWS = 2  # np.array_split makes at most two minibatch sizes
 
-    def __init__(self, sizes, weights, biases):
+    def __init__(self, sizes, params: np.ndarray, grads: np.ndarray):
         self.sizes = list(sizes)
-        self.weights = weights  # list of (n_out, n_in)
-        self.biases = biases  # list of (n_out,)
+        n = _param_count(self.sizes)
+        if params.shape != (n,) or grads.shape != (n,):
+            raise ValueError(f"sizes {self.sizes} need {n} parameters and gradients")
+        self.params, self.grads = params, grads
+        self.weights, self.biases = _layer_views(params, self.sizes)
+        self._grad_w, self._grad_b = _layer_views(grads, self.sizes)
         self._workspace: dict[int, _Workspace] = {}  # least recently used first
 
     @classmethod
     def create(cls, sizes, rng: np.random.Generator) -> "Mlp":
-        weights, biases = [], []
-        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+        n = _param_count(sizes)
+        net = cls(sizes, np.zeros(n), np.zeros(n))
+        for w in net.weights:
+            n_out, n_in = w.shape
             bound = np.sqrt(6.0 / (n_in + n_out))
-            weights.append(rng.uniform(-bound, bound, size=(n_out, n_in)))
-            biases.append(np.zeros(n_out))
-        return cls(sizes, weights, biases)
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+        return net
+
+    def named_grads(self) -> list[tuple[str, np.ndarray]]:
+        """(name, view of ``grads``) per weight and bias: W0, b0, W1, ..."""
+        pairs = zip(self._grad_w, self._grad_b)
+        return [(f"{kind}{i}", g) for i, pair in enumerate(pairs) for kind, g in zip("Wb", pair)]
 
     def _buffers(self, rows: int) -> "_Workspace":
         ws = self._workspace.pop(rows, None)
@@ -106,33 +142,20 @@ class Mlp:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0].copy()
 
-    def backward(self, activations, dout: np.ndarray) -> dict:
-        """Gradients of a scalar loss given d(loss)/d(output) per sample."""
-        grads = {}
+    def backward(self, activations, dout: np.ndarray) -> np.ndarray:
+        """Writes the gradient of a scalar loss, given d(loss)/d(output) per sample, into ``grads``."""
         delta = np.atleast_2d(dout)
         ws = self._buffers(delta.shape[0])
         for i in range(len(self.weights) - 1, -1, -1):
             a_in = activations[i]
-            grads[f"W{i}"] = delta.T @ a_in
-            grads[f"b{i}"] = delta.sum(axis=0)
+            np.matmul(delta.T, a_in, out=self._grad_w[i])
+            delta.sum(axis=0, out=self._grad_b[i])
             if i > 0:
                 slope = np.square(a_in, out=ws.slopes[i])
                 np.subtract(1.0, slope, out=slope)
                 delta = np.matmul(delta, self.weights[i], out=ws.deltas[i])
                 delta *= slope
-        return grads
-
-    def params(self) -> dict:
-        p = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            p[f"W{i}"] = w
-            p[f"b{i}"] = b
-        return p
-
-    def apply_params(self, p: dict) -> None:
-        for i in range(len(self.weights)):
-            self.weights[i] = p[f"W{i}"]
-            self.biases[i] = p[f"b{i}"]
+        return self.grads
 
 
 class _Workspace:
@@ -159,8 +182,7 @@ class TerrainLossWeights:
     lambda_d: float = 1.0
 
     def __post_init__(self) -> None:
-        if min(self.lambda_cls, self.lambda_h, self.lambda_d) < 0:
-            raise ValueError("loss weights must be non-negative")
+        check_counts(self, "[loss] ", lambda_cls=0, lambda_h=0, lambda_d=0)
 
 
 def smooth_l1(err: np.ndarray) -> np.ndarray:
@@ -225,60 +247,56 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    scratch: dict = field(default_factory=dict)  # per parameter, for the step's temporaries
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    scratch: np.ndarray | None = None  # (2, n): the step's numerator and denominator
 
 
-def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
-    """One Adam update with bias correction; returns the new parameter dict.
+def adam_step(net, state: AdamState) -> None:
+    """One Adam update with bias correction of ``net.params`` from ``net.grads``, in place.
 
-    Computes ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
-    ``p - (lr*(m/c1)) / (sqrt(v/c2) + eps)`` in place (see the module
-    docstring for what stays valid).
+    ``net`` is an ``Mlp`` or anything with ``params``, ``grads`` and a
+    ``named_grads()`` that names the parts of ``grads``. Computes
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``p - (lr*(m/c1)) / (sqrt(v/c2) + eps)`` (see the module docstring
+    for what stays valid).
     """
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise TrainingError(f"non-finite gradient in {name}")
+    p, g = net.params, net.grads
+    if not np.isfinite(g).all():
+        name = next(name for name, part in net.named_grads() if not np.isfinite(part).all())
+        raise TrainingError(f"non-finite gradient in {name}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
+        state.scratch = np.empty((2, p.size))
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-    out = {}
-    for name, p in params.items():
-        g = grads[name]
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-            state.scratch[name] = np.empty_like(p)
-        m, v, s = state.m[name], state.v[name], state.scratch[name]
-        np.multiply(b1, m, out=m)
-        m += np.multiply(1.0 - b1, g, out=s)
-        np.multiply(b2, v, out=v)
-        np.multiply(1.0 - b2, g, out=s)
-        v += np.multiply(s, g, out=s)
-        np.divide(m, c1, out=s)
-        np.multiply(state.lr, s, out=s)
-        new = np.divide(v, c2)
-        np.sqrt(new, out=new)
-        new += state.eps
-        s /= new
-        out[name] = np.subtract(p, s, out=new)
-    return out
+    m, v, (s, den) = state.m, state.v, state.scratch
+    np.multiply(b1, m, out=m)
+    m += np.multiply(1.0 - b1, g, out=s)
+    np.multiply(b2, v, out=v)
+    np.multiply(1.0 - b2, g, out=s)
+    v += np.multiply(s, g, out=s)
+    np.divide(m, c1, out=s)
+    np.multiply(state.lr, s, out=s)
+    np.divide(v, c2, out=den)
+    np.sqrt(den, out=den)
+    den += state.eps
+    s /= den
+    p -= s
 
 
 _MAGIC = b"MLP1"
 
 
 def save_mlp(path, net: Mlp) -> None:
-    """Checkpoint: MLP1 magic, layer sizes, then f64 parameters in layer order."""
+    """Checkpoint: MLP1 magic, layer sizes, then the f64 parameter vector."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(net.sizes)))
         fh.write(struct.pack(f"<{len(net.sizes)}I", *net.sizes))
-        for w, b in zip(net.weights, net.biases):
-            fh.write(w.astype("<f8").tobytes(order="C"))
-            fh.write(b.astype("<f8").tobytes(order="C"))
+        fh.write(net.params.astype("<f8").tobytes())
 
 
 def load_mlp(path) -> Mlp:
@@ -295,20 +313,13 @@ def load_mlp(path) -> Mlp:
     if n_sizes < 2 or len(raw) < header:
         raise ValueError(f"{path}: damaged checkpoint header ({len(raw)} bytes)")
     sizes = list(struct.unpack_from(f"<{n_sizes}I", raw, 8))
-    size = header + 8 * sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+    size = header + 8 * _param_count(sizes)
     if len(raw) != size:
         raise ValueError(f"{path}: checkpoint has {len(raw)} bytes, expected {size}")
     params = np.frombuffer(raw, dtype="<f8", offset=header)
     if not np.isfinite(params).all():
         raise ValueError(f"{path}: checkpoint holds non-finite parameters")
-    weights, biases = [], []
-    offset = 0
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(params[offset : offset + n_out * n_in].reshape(n_out, n_in).copy())
-        offset += n_out * n_in
-        biases.append(params[offset : offset + n_out].copy())
-        offset += n_out
-    return Mlp(sizes, weights, biases)
+    return Mlp(sizes, params.astype(float), np.zeros(params.size))
 
 
 def build_estimator_net(rng: np.random.Generator, hidden: int = 128) -> Mlp:

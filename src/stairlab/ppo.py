@@ -111,10 +111,17 @@ class GaussianPolicy:
     """
 
     def __init__(self, obs_dim: int, rng: np.random.Generator, hidden=(64, 64)):
+        actor = Mlp.create([obs_dim, *hidden, 3], rng)
+        critic = Mlp.create([obs_dim, *hidden, 1], rng)
         self.obs_dim = obs_dim
-        self.actor = Mlp.create([obs_dim, *hidden, 3], rng)
-        self.critic = Mlp.create([obs_dim, *hidden, 1], rng)
-        self.log_std = np.log(INIT_STD_FRACTION * _ACTION_SPAN)
+        # One vector [actor | critic | log_std]; the nets and log_std are views of it.
+        log_std = np.log(INIT_STD_FRACTION * _ACTION_SPAN)
+        self.params = np.concatenate([actor.params, critic.params, log_std])
+        self.grads = np.zeros_like(self.params)
+        a, c = actor.params.size, actor.params.size + critic.params.size
+        self.actor = Mlp(actor.sizes, self.params[:a], self.grads[:a])
+        self.critic = Mlp(critic.sizes, self.params[a:c], self.grads[a:c])
+        self.log_std = self.params[c:]
 
     def squash(self, raw: np.ndarray) -> np.ndarray:
         return ACTION_LOW + 0.5 * (np.tanh(raw) + 1.0) * _ACTION_SPAN
@@ -140,20 +147,13 @@ class GaussianPolicy:
         actions = mean + std * rng.standard_normal(mean.shape)
         return actions, self.log_prob(actions, mean), self.value(obs)
 
-    def params(self) -> dict:
-        p = {f"actor.{k}": v for k, v in self.actor.params().items()}
-        p.update({f"critic.{k}": v for k, v in self.critic.params().items()})
-        p["log_std"] = self.log_std
-        return p
-
-    def apply_params(self, p: dict) -> None:
-        self.actor.apply_params(
-            {k.split(".", 1)[1]: v for k, v in p.items() if k.startswith("actor.")}
+    def named_grads(self) -> list[tuple[str, np.ndarray]]:
+        """(name, view of ``grads``) per parameter: actor.W0, ..., critic.W0, ..., log_std."""
+        return (
+            [(f"actor.{name}", g) for name, g in self.actor.named_grads()]
+            + [(f"critic.{name}", g) for name, g in self.critic.named_grads()]
+            + [("log_std", self.grads[-3:])]
         )
-        self.critic.apply_params(
-            {k.split(".", 1)[1]: v for k, v in p.items() if k.startswith("critic.")}
-        )
-        self.log_std = np.clip(p["log_std"], *LOG_STD_BOUNDS)
 
 
 @dataclass
@@ -212,7 +212,7 @@ def collect(
         logp_buf[t] = logps
         val_buf[t] = values
         for i, env in enumerate(envs):
-            if collect_supervision and env.t % env.cfg.token_refresh == 0:
+            if collect_supervision and env.refresh_due():
                 samples.append(env.supervision_sample())
             _, reward, done, _ = env.step(actions[i])
             rew_buf[t, i] = reward
@@ -278,7 +278,8 @@ def surrogate_grads(
 ):
     """Analytic gradient of the clipped objective on one minibatch.
 
-    Returns (grads, stats); grads keys match ``GaussianPolicy.params``.
+    Returns (grads, stats); grads is ``policy.grads``, in the layout of
+    ``policy.params``.
     The minimized loss is -E[min(rho A, clip(rho) A)]
     + value_coef * E[(V - returns)^2] - entropy_coef * H.
     """
@@ -300,18 +301,14 @@ def surrogate_grads(
 
     dmean = dlogp[:, None] * (z / std)
     draw = dmean * 0.5 * _ACTION_SPAN * (1.0 - np.tanh(raw) ** 2)
-    actor_grads = policy.actor.backward(actor_acts, draw)
+    policy.actor.backward(actor_acts, draw)
 
-    dlog_std = (dlogp[:, None] * (z * z - 1.0)).sum(axis=0) - cfg.entropy_coef
+    policy.grads[-3:] = (dlogp[:, None] * (z * z - 1.0)).sum(axis=0) - cfg.entropy_coef
 
     v_out, critic_acts = policy.critic.forward(obs)
     v = v_out[:, 0]
     dv = 2.0 * cfg.value_coef * (v - returns) / m
-    critic_grads = policy.critic.backward(critic_acts, dv[:, None])
-
-    grads = {f"actor.{k}": g for k, g in actor_grads.items()}
-    grads.update({f"critic.{k}": g for k, g in critic_grads.items()})
-    grads["log_std"] = dlog_std
+    policy.critic.backward(critic_acts, dv[:, None])
 
     stats = {
         "policy_loss": float(-objective.mean()),
@@ -320,7 +317,7 @@ def surrogate_grads(
         "clip_frac": float((np.abs(ratio - 1.0) > cfg.clip).mean()),
         "kl": float((logp_old - logp).mean()),
     }
-    return grads, stats
+    return policy.grads, stats
 
 
 def ppo_update(
@@ -345,12 +342,13 @@ def ppo_update(
     for _ in range(cfg.epochs):
         perm = rng.permutation(obs.shape[0])
         for chunk in np.array_split(perm, cfg.minibatches):
-            grads, stats = surrogate_grads(
+            _, stats = surrogate_grads(
                 policy, obs[chunk], actions[chunk], logp_old[chunk], adv[chunk], returns[chunk], cfg
             )
             if not all(np.isfinite(v) for v in stats.values()):
                 raise TrainingError(f"non-finite loss during update: {stats}")
-            policy.apply_params(adam_step(policy.params(), grads, adam))
+            adam_step(policy, adam)
+            np.clip(policy.log_std, *LOG_STD_BOUNDS, out=policy.log_std)
             for k, v in stats.items():
                 agg[k] = agg.get(k, 0.0) + v
             count += 1
@@ -388,8 +386,8 @@ def estimator_update(
             logits, h_hat, d_hat, gt_class, gt_h, gt_d, weights
         )
         dout = np.concatenate([d_logits, d_h[:, None], d_d[:, None]], axis=1)
-        grads = estimator.backward(acts, alpha * dout / m)
-        estimator.apply_params(adam_step(estimator.params(), grads, adam))
+        estimator.backward(acts, alpha * dout / m)
+        adam_step(estimator, adam)
     return initial
 
 
@@ -584,7 +582,7 @@ def load_policy(directory) -> GaussianPolicy:
     directory = Path(directory)
     actor = load_mlp(directory / "actor.mlp1")
     critic = load_mlp(directory / "critic.mlp1")
-    if actor.sizes[-1] != 3 or critic.sizes[-1] != 1 or critic.sizes[0] != actor.sizes[0]:
+    if actor.sizes[-1] != 3 or critic.sizes != [*actor.sizes[:-1], 1]:
         raise ValueError(
             f"{directory}: actor {actor.sizes} and critic {critic.sizes} do not form a policy"
         )
@@ -595,9 +593,7 @@ def load_policy(directory) -> GaussianPolicy:
         raise ValueError(f"{std_path}: non-numeric log-std value") from exc
     if log_std.shape != (3,) or not np.isfinite(log_std).all():
         raise ValueError(f"{std_path}: expected 3 finite log-std values")
-    policy = GaussianPolicy.__new__(GaussianPolicy)
-    policy.obs_dim = actor.sizes[0]
-    policy.actor = actor
-    policy.critic = critic
-    policy.log_std = log_std
+    # The constructor lays out the vector; the files' values replace its draws.
+    policy = GaussianPolicy(actor.sizes[0], np.random.default_rng(0), actor.sizes[1:-1])
+    policy.params[:] = np.concatenate([actor.params, critic.params, log_std])
     return policy

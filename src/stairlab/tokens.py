@@ -60,13 +60,16 @@ class TokenFeed:
             token = self._perturb(self._teacher(env))
             next_riser = env.profile.next_riser(env.s)
         else:
-            due = env.t % self.cfg.token_refresh == 0
-            if due and (self._held is None or self._held[3] != env.t):
+            if self.refresh_due(env) and (self._held is None or self._held[3] != env.t):
                 self._held = (*self._estimate(env), env.s, env.t)
             token, next_riser, s_sensed, _ = self._held
             if next_riser > 0.0:
                 next_riser = wrap_ahead(next_riser - (env.s - s_sensed), token.d_step)
         return token, 0.0 if token.stair_class == StairClass.FLAT else next_riser
+
+    def refresh_due(self, env: StepperEnv) -> bool:
+        """Whether the estimators refresh the token at the env's step."""
+        return env.t % self.cfg.token_refresh == 0
 
     def supervision_sample(self, env: StepperEnv) -> tuple[np.ndarray, int, float, float]:
         """Pooled BEV features of the env's pose plus teacher labels."""

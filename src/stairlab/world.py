@@ -95,15 +95,6 @@ class TerrainToken:
     d_step: float
     theta: float
 
-    def as_vector(self) -> np.ndarray:
-        """Class one-hot followed by (h, d, theta); length 6."""
-        vec = np.zeros(6)
-        vec[int(self.stair_class)] = 1.0
-        vec[3] = self.h_step
-        vec[4] = self.d_step
-        vec[5] = self.theta
-        return vec
-
 
 class TerrainProfile:
     """Piecewise-constant heightfield realized from a StairSpec.

@@ -209,21 +209,24 @@ def test_criterion_4_gae_oracle():
 # -- 5: gradient checks ------------------------------------------------------------
 
 
-def _fd_check(loss_fn, params, analytic, rng, n_probes=40):
+def _fd_check(loss_fn, net, analytic, rng, n_probes=40):
+    """Worst relative error of ``analytic`` against central differences on ``net.params``,
+    at up to ``n_probes`` entries of each weight and bias."""
     h = 1e-5
     worst = 0.0
-    for name, p in params.items():
-        flat = p.reshape(-1)
-        idx = rng.choice(flat.size, size=min(n_probes, flat.size), replace=False)
+    offset = 0
+    for _, part in net.named_grads():
+        idx = offset + rng.choice(part.size, size=min(n_probes, part.size), replace=False)
+        offset += part.size
         for i in idx:
-            orig = flat[i]
-            flat[i] = orig + h
+            orig = net.params[i]
+            net.params[i] = orig + h
             hi = loss_fn()
-            flat[i] = orig - h
+            net.params[i] = orig - h
             lo = loss_fn()
-            flat[i] = orig
+            net.params[i] = orig
             numeric = (hi - lo) / (2 * h)
-            a = analytic[name].reshape(-1)[i]
+            a = analytic[i]
             scale = max(abs(numeric), abs(a))
             if scale < 1e-6:
                 continue
@@ -251,8 +254,8 @@ def test_criterion_5_gradient_checks():
         out, acts = net.forward(x)
         dl, dh, dd = terrain_loss_grad(out[:, :3], out[:, 3], out[:, 4], gt_cls, gt_h, gt_d, w)
         dout = np.concatenate([dl, dh[:, None], dd[:, None]], axis=1)
-        analytic = net.backward(acts, dout)
-        worst["estimator"] = max(worst["estimator"], _fd_check(est_loss, net.params(), analytic, rng))
+        analytic = net.backward(acts, dout).copy()
+        worst["estimator"] = max(worst["estimator"], _fd_check(est_loss, net, analytic, rng))
 
         # Actor mean head and critic value head through quadratic readouts.
         policy = GaussianPolicy(6, rng, hidden=(8, 8))
@@ -265,15 +268,15 @@ def test_criterion_5_gradient_checks():
         mean = policy.squash(raw)
         span = np.array([0.4, 0.3, math.radians(10.0)])
         draw = mean * 0.5 * span * (1.0 - np.tanh(raw) ** 2)
-        analytic_a = policy.actor.backward(a_acts, draw)
-        worst["actor"] = max(worst["actor"], _fd_check(actor_loss, policy.actor.params(), analytic_a, rng))
+        analytic_a = policy.actor.backward(a_acts, draw).copy()
+        worst["actor"] = max(worst["actor"], _fd_check(actor_loss, policy.actor, analytic_a, rng))
 
         def critic_loss():
             return float(0.5 * (policy.value(obs) ** 2).sum())
 
         v, c_acts = policy.critic.forward(obs)
-        analytic_c = policy.critic.backward(c_acts, v)
-        worst["critic"] = max(worst["critic"], _fd_check(critic_loss, policy.critic.params(), analytic_c, rng))
+        analytic_c = policy.critic.backward(c_acts, v).copy()
+        worst["critic"] = max(worst["critic"], _fd_check(critic_loss, policy.critic, analytic_c, rng))
 
     ok = all(v <= 1e-4 for v in worst.values())
     report(

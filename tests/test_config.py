@@ -298,6 +298,7 @@ def test_split_keys_apply_together():
             "minibatches 64 exceeds the 32 rows of a batch (n_envs x horizon)",
         ),
         ("[train]\nstage2_epochs = -1\n", "stage2_epochs must be non-negative, got -1"),
+        ("[loss]\nlambda_h = -1\n", "[loss] lambda_h must be non-negative, got -1.0"),
     ],
 )
 def test_update_counts_rejected(text, message):
@@ -328,6 +329,10 @@ def test_update_count_edges_accepted():
         ("[generalize]\nupdates = -3\n", "[generalize] updates must be non-negative, got -3"),
         ("[generalize]\nepisodes = 0\n", "[generalize] episodes must be positive, got 0"),
         ("[track]\nupdates = -1\n", "[track] updates must be non-negative, got -1"),
+        ("[benchmark]\nn_configs = 0\n", "[benchmark] n_configs must be positive, got 0"),
+        ("[benchmark]\nn_configs = -5\n", "[benchmark] n_configs must be positive, got -5"),
+        ("[benchmark]\ndropout = -0.1\n", "[benchmark] dropout must lie in [0, 1], got -0.1"),
+        ("[benchmark]\ndropout = 1.5\n", "[benchmark] dropout must lie in [0, 1], got 1.5"),
     ],
 )
 def test_experiment_counts_rejected(text, message):

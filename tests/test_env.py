@@ -81,7 +81,8 @@ class TestReset:
         obs = env.reset(spec)
         token = ground_truth_token(spec, env.world_pose[2], env.world_pose[:2], window=3.0)
         assert obs.shape == (13,)
-        assert np.allclose(obs[6:12], token.as_vector())
+        one_hot = [float(token.stair_class == c) for c in range(3)]
+        assert np.allclose(obs[6:12], [*one_hot, token.h_step, token.d_step, token.theta])
         # Start at s = -0.5; the first riser is at s = 0.
         assert obs[12] == 0.5
 

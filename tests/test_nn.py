@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from stairlab.nn import (
     terrain_loss,
     terrain_loss_grad,
 )
-from stairlab.ppo import GaussianPolicy, collect, make_ensemble, ppo_update
+from stairlab.ppo import GaussianPolicy, collect, estimator_update, make_ensemble, ppo_update
 
 from helpers import largest_line_allocation
 
@@ -35,36 +36,49 @@ def empty_grid() -> BevGrid:
     )
 
 
-def finite_difference(loss_fn, params: dict, h: float = 1e-5) -> dict:
-    """Central-difference gradient of a scalar loss over a parameter dict."""
-    grads = {}
-    for name, p in params.items():
-        g = np.zeros_like(p)
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            hi = loss_fn()
-            flat_p[i] = orig - h
-            lo = loss_fn()
-            flat_p[i] = orig
-            flat_g[i] = (hi - lo) / (2.0 * h)
-        grads[name] = g
+def mlp(sizes, weights, biases) -> Mlp:
+    """A net with the given layers, laid out in MLP1 order."""
+    params = np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+    return Mlp(sizes, params, np.zeros_like(params))
+
+
+def finite_difference(loss_fn, params: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar loss over a flat parameter vector."""
+    grads = np.zeros_like(params)
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + h
+        hi = loss_fn()
+        params[i] = orig - h
+        lo = loss_fn()
+        params[i] = orig
+        grads[i] = (hi - lo) / (2.0 * h)
     return grads
 
 
-def max_rel_error(analytic: dict, numeric: dict) -> float:
+def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     worst = 0.0
-    for name in analytic:
-        a = analytic[name].reshape(-1)
-        b = numeric[name].reshape(-1)
-        for ai, bi in zip(a, b):
-            scale = max(abs(ai), abs(bi))
-            if scale < 1e-6:
-                continue
-            worst = max(worst, abs(ai - bi) / scale)
+    for ai, bi in zip(analytic, numeric):
+        scale = max(abs(ai), abs(bi))
+        if scale < 1e-6:
+            continue
+        worst = max(worst, abs(ai - bi) / scale)
     return worst
+
+
+def split_like(net, vector: np.ndarray) -> dict:
+    """``vector`` cut into the named parts of ``net.grads`` (W0, b0, ..., or actor.W0, ..., log_std)."""
+    parts, offset = {}, 0
+    for name, g in net.named_grads():
+        parts[name] = vector[offset : offset + g.size].reshape(g.shape)
+        offset += g.size
+    assert offset == vector.size
+    return parts
+
+
+def mlp1_order(parts: dict) -> np.ndarray:
+    """Per-name arrays concatenated in the order given, which is MLP1 order for ``split_like``'s."""
+    return np.concatenate([a.ravel() for a in parts.values()])
 
 
 class TestPoolBev:
@@ -87,7 +101,7 @@ class TestPoolBev:
 
 class TestMlpForward:
     def test_zero_weights_zero_output(self):
-        net = Mlp([4, 3, 5], [np.zeros((3, 4)), np.zeros((5, 3))], [np.zeros(3), np.zeros(5)])
+        net = mlp([4, 3, 5], [np.zeros((3, 4)), np.zeros((5, 3))], [np.zeros(3), np.zeros(5)])
         out = net(np.ones(4))
         assert np.all(out == 0.0)
 
@@ -95,7 +109,7 @@ class TestMlpForward:
         rng = np.random.default_rng(0)
         w = rng.normal(size=(3, 4))
         b = rng.normal(size=3)
-        net = Mlp([4, 3], [w], [b])
+        net = mlp([4, 3], [w], [b])
         x = rng.normal(size=4)
         assert np.allclose(net(x)[0], w @ x + b, atol=1e-12)
 
@@ -113,7 +127,7 @@ class TestMlpForward:
     def test_param_count(self):
         net = Mlp.create([10, 16, 4], np.random.default_rng(2))
         n_params = sum(w.size + b.size for w, b in zip(net.weights, net.biases))
-        assert n_params == (10 + 1) * 16 + (16 + 1) * 4
+        assert n_params == net.params.size == net.grads.size == (10 + 1) * 16 + (16 + 1) * 4
 
     def test_init_bounds(self):
         net = Mlp.create([50, 20], np.random.default_rng(3))
@@ -173,13 +187,13 @@ class TestBackward:
         # ||Wx - y||^2 has gradient 2 (Wx - y) x^T.
         rng = np.random.default_rng(6)
         w = rng.normal(size=(3, 5))
-        net = Mlp([5, 3], [w], [np.zeros(3)])
+        net = mlp([5, 3], [w], [np.zeros(3)])
         x = rng.normal(size=(1, 5))
         y = rng.normal(size=(1, 3))
         out, acts = net.forward(x)
         grads = net.backward(acts, 2.0 * (out - y))
         expected = 2.0 * (w @ x[0] - y[0])[:, None] @ x
-        assert np.allclose(grads["W0"], expected, atol=1e-10)
+        assert np.allclose(split_like(net, grads)["W0"], expected, atol=1e-10)
 
     @pytest.mark.slow
     def test_gradcheck_spec_sized_net(self):
@@ -207,8 +221,8 @@ class TestBackward:
         dout[:, :3] = d_logits
         dout[:, 3] = d_h
         dout[:, 4] = d_d
-        analytic = net.backward(acts, dout)
-        numeric = finite_difference(loss_fn, net.params())
+        analytic = net.backward(acts, dout).copy()
+        numeric = finite_difference(loss_fn, net.params)
         assert max_rel_error(analytic, numeric) <= 1e-4
 
     def test_gradcheck_small_nets_multiple_draws(self):
@@ -222,8 +236,8 @@ class TestBackward:
                 return float(0.5 * ((net(x) - target) ** 2).sum())
 
             out, acts = net.forward(x)
-            analytic = net.backward(acts, out - target)
-            numeric = finite_difference(loss_fn, net.params())
+            analytic = net.backward(acts, out - target).copy()
+            numeric = finite_difference(loss_fn, net.params)
             assert max_rel_error(analytic, numeric) <= 1e-4
 
 
@@ -231,19 +245,17 @@ class TestAdam:
     def test_zero_gradient_no_change(self):
         rng = np.random.default_rng(9)
         net = Mlp.create([4, 3], rng)
-        params = net.params()
-        before = {k: v.copy() for k, v in params.items()}
-        state = AdamState(lr=1e-3)
-        out = adam_step(params, {k: np.zeros_like(v) for k, v in params.items()}, state)
-        for k in before:
-            assert np.array_equal(out[k], before[k])
+        before = net.params.copy()
+        adam_step(net, AdamState(lr=1e-3))
+        assert np.array_equal(net.params, before)
 
     def test_descends_quadratic(self):
         state = AdamState(lr=0.1)
-        params = {"x": np.array([5.0])}
+        net = mlp([1, 1], [np.array([[5.0]])], [np.array([-3.0])])
         for _ in range(200):
-            params = adam_step(params, {"x": 2.0 * params["x"]}, state)
-        assert abs(params["x"][0]) < 0.1
+            net.grads[:] = 2.0 * net.params
+            adam_step(net, state)
+        assert np.abs(net.params).max() < 0.1
 
     def test_deterministic_updates(self):
         def run():
@@ -253,8 +265,8 @@ class TestAdam:
             x = rng.normal(size=(4, 6))
             for _ in range(5):
                 out, acts = net.forward(x)
-                grads = net.backward(acts, out)
-                net.apply_params(adam_step(net.params(), grads, state))
+                net.backward(acts, out)
+                adam_step(net, state)
             return net
 
         a, b = run(), run()
@@ -262,9 +274,10 @@ class TestAdam:
             assert np.array_equal(wa, wb)
 
     def test_non_finite_gradient_raises(self):
-        state = AdamState()
+        net = Mlp.create([3, 1], np.random.default_rng(0))
+        net.grads[:3] = [1.0, np.nan, 0.0]
         with pytest.raises(TrainingError, match="W0"):
-            adam_step({"W0": np.zeros(3)}, {"W0": np.array([1.0, np.nan, 0.0])}, state)
+            adam_step(net, AdamState())
 
 
 class TestCheckpoint:
@@ -279,6 +292,8 @@ class TestCheckpoint:
             assert np.array_equal(w1, w2)
         for b1, b2 in zip(net.biases, loaded.biases):
             assert np.array_equal(b1, b2)
+        # The file's body is the parameter vector's bytes.
+        assert path.read_bytes()[8 + 4 * 3 :] == net.params.astype("<f8").tobytes()
         x = rng.normal(size=(2, 7))
         assert np.array_equal(net(x), loaded(x))
 
@@ -291,7 +306,7 @@ class TestCheckpoint:
 
 class FrozenMlp(Mlp):
     """Oracle: ``forward`` and ``backward`` in their allocating form, with a
-    fresh array for every layer output, delta and slope."""
+    fresh array for every layer output, delta, slope and gradient."""
 
     def forward(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -304,7 +319,7 @@ class FrozenMlp(Mlp):
             activations.append(a)
         return a, activations
 
-    def backward(self, activations, dout):
+    def gradient_arrays(self, activations, dout) -> dict:
         grads = {}
         delta = np.atleast_2d(dout)
         for i in range(len(self.weights) - 1, -1, -1):
@@ -315,8 +330,27 @@ class FrozenMlp(Mlp):
                 delta = (delta @ self.weights[i]) * (1.0 - activations[i] ** 2)
         return grads
 
+    def backward(self, activations, dout):
+        """``gradient_arrays``, copied into ``grads`` in MLP1 order."""
+        grads = self.gradient_arrays(activations, dout)
+        self.grads[:] = mlp1_order({name: grads[name] for name, _ in self.named_grads()})
+        return self.grads
 
-def frozen_adam_step(params: dict, grads: dict, state: AdamState) -> dict:
+
+@dataclass
+class FrozenAdamState:
+    """The oracle's state: ``AdamState``'s settings, with moments per parameter name."""
+
+    lr: float
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    step: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+
+def frozen_adam_step(params: dict, grads: dict, state: FrozenAdamState) -> dict:
     """Oracle: ``adam_step`` in its allocating form, with fresh moments and temporaries."""
     for name, g in grads.items():
         if not np.isfinite(g).all():
@@ -342,7 +376,7 @@ def frozen_adam_step(params: dict, grads: dict, state: AdamState) -> dict:
 
 
 def frozen(net: Mlp) -> FrozenMlp:
-    return FrozenMlp(net.sizes, [w.copy() for w in net.weights], [b.copy() for b in net.biases])
+    return FrozenMlp(net.sizes, net.params.copy(), np.zeros_like(net.grads))
 
 
 def assert_bits_equal(a, b) -> None:
@@ -386,24 +420,22 @@ class TestWorkspaceBitIdentity:
             for a, ref in zip(acts, ref_acts):
                 assert_bits_equal(a, ref)
             grads = net.backward(acts, dout)
-            ref_grads = oracle.backward(ref_acts, dout)
-            assert grads.keys() == ref_grads.keys()
-            for k in grads:
-                assert_bits_equal(grads[k], ref_grads[k])
+            ref_grads = oracle.gradient_arrays(ref_acts, dout)
+            assert_bits_equal(grads, mlp1_order({k: ref_grads[k] for k in split_like(net, grads)}))
 
     def test_ppo_update_parameters(self):
         live, batch, cfg = ppo_batch()
-        ref = GaussianPolicy.__new__(GaussianPolicy)
-        ref.obs_dim, ref.log_std = live.obs_dim, live.log_std.copy()
-        ref.actor, ref.critic = frozen(live.actor), frozen(live.critic)
+        # The oracle nets on the slices of a second policy's vectors.
+        ref = GaussianPolicy(live.obs_dim, np.random.default_rng(0))
+        ref.params[:] = live.params
+        a, c = live.actor.params.size, live.actor.params.size + live.critic.params.size
+        ref.actor = FrozenMlp(live.actor.sizes, ref.params[:a], ref.grads[:a])
+        ref.critic = FrozenMlp(live.critic.sizes, ref.params[a:c], ref.grads[a:c])
         for policy in (live, ref):
             adam, rng = AdamState(lr=cfg.learning_rate), np.random.default_rng(21)
             for _ in range(2):
                 ppo_update(policy, batch, cfg, adam, rng)
-        live_params, ref_params = live.params(), ref.params()
-        assert live_params.keys() == ref_params.keys()
-        for k in live_params:
-            assert_bits_equal(live_params[k], ref_params[k])
+        assert_bits_equal(live.params, ref.params)
 
 
 class TestWorkspaceContract:
@@ -417,16 +449,28 @@ class TestWorkspaceContract:
         net.forward(rng.normal(size=(5, 6)))
         assert_bits_equal(first, kept)
 
-    def test_gradients_survive_a_second_backward(self):
+    def test_backward_fills_the_net_gradient_vector(self):
+        # The gradient is valid until the next backward, which overwrites it.
         rng = np.random.default_rng(23)
         net = Mlp.create([6, 8, 8, 4], rng)
+        grads = net.grads
         out, acts = net.forward(rng.normal(size=(5, 6)))
-        grads = net.backward(acts, out)
-        kept = {k: g.copy() for k, g in grads.items()}
+        assert net.backward(acts, out) is grads
+        kept = grads.copy()
         out, acts = net.forward(rng.normal(size=(5, 6)))
-        net.backward(acts, out)
-        for k in kept:
-            assert_bits_equal(grads[k], kept[k])
+        assert net.backward(acts, out) is grads
+        assert net.grads is grads and grads.tobytes() != kept.tobytes()
+        for w, b in zip(net.weights, net.biases):
+            assert np.shares_memory(w, net.params) and np.shares_memory(b, net.params)
+
+    def test_policy_nets_are_views_of_the_policy_vectors(self):
+        policy = GaussianPolicy(OBS_DIM[ObsMode.TOKEN], np.random.default_rng(30))
+        parts = [policy.actor.params, policy.critic.params, policy.log_std]
+        assert sum(p.size for p in parts) == policy.params.size == policy.grads.size
+        assert all(np.shares_memory(p, policy.params) for p in parts)
+        for net in (policy.actor, policy.critic):
+            assert np.shares_memory(net.grads, policy.grads)
+        assert_bits_equal(np.concatenate(parts), policy.params)
 
     def test_activations_survive_a_forward_at_another_row_count(self):
         rng = np.random.default_rng(24)
@@ -457,73 +501,72 @@ class TestWorkspaceContract:
         assert largest_line_allocation(ppo_update, policy, batch, cfg, adam, rng) < 128 * 1024
 
 
-def estimator_params(rng) -> dict:
-    return build_estimator_net(rng).params()
+def estimator_net(rng) -> Mlp:
+    return build_estimator_net(rng)
 
 
-def policy_params(rng) -> dict:
-    return GaussianPolicy(OBS_DIM[ObsMode.TOKEN], rng).params()
+def policy_net(rng) -> GaussianPolicy:
+    return GaussianPolicy(OBS_DIM[ObsMode.TOKEN], rng)
 
 
-def wild_gradients(rng, params: dict) -> dict:
+def wild_gradients(rng, n: int) -> np.ndarray:
     """Gradients over ten decades, with zeros of both signs."""
-    grads = {}
-    for k, p in params.items():
-        g = rng.normal(size=p.shape) * 10.0 ** rng.uniform(-8.0, 2.0, size=p.shape)
-        g.flat[::7] = 0.0
-        g.flat[::11] = -0.0
-        grads[k] = g
-    return grads
+    g = rng.normal(size=n) * 10.0 ** rng.uniform(-8.0, 2.0, size=n)
+    g[::7] = 0.0
+    g[::11] = -0.0
+    return g
 
 
 class TestAdamInPlace:
-    """``adam_step`` updates its moments in place and keeps every bit of the allocating form."""
+    """``adam_step`` updates a net's vector in place and keeps every bit of the allocating form."""
 
-    @pytest.mark.parametrize("make_params", [estimator_params, policy_params], ids=["estimator", "policy"])
-    def test_five_steps_match_the_allocating_form(self, make_params):
+    @pytest.mark.parametrize("make_net", [estimator_net, policy_net], ids=["estimator", "policy"])
+    def test_five_steps_match_the_allocating_form(self, make_net):
         rng = np.random.default_rng(27)
-        params = make_params(rng)
-        ref_params = dict(params)
-        state, ref_state = AdamState(lr=1e-2), AdamState(lr=1e-2)
-        for _ in range(5):
-            grads = wild_gradients(rng, params)
-            kept = {k: (params[k].copy(), grads[k].copy()) for k in params}
-            new = adam_step(params, grads, state)
-            ref_params = frozen_adam_step(ref_params, grads, ref_state)
-            assert new.keys() == ref_params.keys() == state.m.keys() == state.v.keys()
-            for k in new:
-                assert_bits_equal(new[k], ref_params[k])
-                assert_bits_equal(state.m[k], ref_state.m[k])
-                assert_bits_equal(state.v[k], ref_state.v[k])
-                assert_bits_equal(params[k], kept[k][0])
-                assert_bits_equal(grads[k], kept[k][1])
-                held = (params[k], grads[k], state.m[k], state.v[k], state.scratch[k])
-                assert not any(np.shares_memory(new[k], a) for a in held)
-            params = new
+        net = make_net(rng)
+        params, grads = net.params, net.grads
+        ref_params = {k: p.copy() for k, p in split_like(net, params).items()}
+        state, ref_state = AdamState(lr=1e-2), FrozenAdamState(lr=1e-2)
+        for step in range(5):
+            grads[:] = wild_gradients(rng, grads.size)
+            kept = grads.copy()
+            adam_step(net, state)
+            ref_params = frozen_adam_step(ref_params, split_like(net, kept), ref_state)
+            assert net.params is params and net.grads is grads
+            assert_bits_equal(params, mlp1_order(ref_params))
+            assert_bits_equal(state.m, mlp1_order(ref_state.m))
+            assert_bits_equal(state.v, mlp1_order(ref_state.v))
+            assert_bits_equal(grads, kept)
+            if step == 0:
+                held = state.m, state.v, state.scratch
+            assert all(a is b for a, b in zip((state.m, state.v, state.scratch), held))
         assert state.step == ref_state.step == 5
 
     def test_non_finite_gradient_leaves_the_moments(self):
         rng = np.random.default_rng(28)
-        params = policy_params(rng)
+        policy = policy_net(rng)
         state = AdamState()
-        adam_step(params, wild_gradients(rng, params), state)
-        kept = {k: (state.m[k].copy(), state.v[k].copy()) for k in state.m}
-        grads = wild_gradients(rng, params)
-        grads["log_std"][1] = np.inf
+        policy.grads[:] = wild_gradients(rng, policy.grads.size)
+        adam_step(policy, state)
+        kept = (state.m.copy(), state.v.copy(), policy.params.copy())
+        policy.grads[:] = wild_gradients(rng, policy.grads.size)
+        dict(policy.named_grads())["log_std"][1] = np.inf
         with pytest.raises(TrainingError, match="log_std"):
-            adam_step(params, grads, state)
-        for k, (m, v) in kept.items():
-            assert_bits_equal(state.m[k], m)
-            assert_bits_equal(state.v[k], v)
+            adam_step(policy, state)
+        for now, before in zip((state.m, state.v, policy.params), kept):
+            assert_bits_equal(now, before)
+        assert state.step == 1
 
-    def test_estimator_step_makes_one_parameter_of_new_memory_at_most(self):
-        # Each new parameter is one fresh array; the moments and the step's
-        # temporaries live in the state. The allocating form read twice the
-        # (128, 1350) layer's 1,350 KB on one line.
+    def test_warm_estimator_update_makes_no_large_temporary(self):
+        # Adam steps the (173,573,) vector in place and backward writes into
+        # its gradient vector, so no line of a warm update holds 256 KB of new
+        # memory; the largest is the isfinite mask over the gradient. A fresh
+        # (128, 1350) parameter or gradient alone is 1,350 KB.
         rng = np.random.default_rng(29)
-        params = estimator_params(rng)
-        state = AdamState()
-        params = adam_step(params, wild_gradients(rng, params), state)
-        grads = wild_gradients(rng, params)
-        largest = max(p.nbytes for p in params.values())
-        assert largest_line_allocation(adam_step, params, grads, state) <= 1.05 * largest
+        net = estimator_net(rng)
+        rows = 88
+        features = rng.normal(scale=0.2, size=(rows, FEATURE_DIM))
+        labels = rng.integers(0, 3, size=rows), rng.uniform(0.1, 0.2, rows), rng.uniform(0.25, 0.35, rows)
+        args = (net, features, *labels, TerrainLossWeights(), AdamState(lr=1e-2), 1.0, 4)
+        estimator_update(*args)
+        assert largest_line_allocation(estimator_update, *args) <= 256 * 1024

@@ -171,7 +171,7 @@ class TestCollect:
         envs, samplers = _blind_envs(n_envs=1, seed=6, horizon=500)
         policy = GaussianPolicy(OBS_DIM[ObsMode.BLIND], np.random.default_rng(0))
         # Near-deterministic policy at the log-std floor.
-        policy.log_std = np.full(3, -5.0)
+        policy.log_std[:] = -5.0
         env, rewards = envs[0], []
         step = env.step
 
@@ -230,10 +230,12 @@ class TestPpoUpdate:
         logp = batch.log_probs.reshape(-1)
         zeros = np.zeros(obs.shape[0])
         grads, _ = surrogate_grads(policy, obs, act, logp, zeros, zeros, cfg)
-        for name, g in grads.items():
+        assert grads is policy.grads
+        named = dict(policy.named_grads())
+        for name, g in named.items():
             if name.startswith("actor."):
                 assert np.all(g == 0.0)
-        assert np.allclose(grads["log_std"], -cfg.entropy_coef)
+        assert np.allclose(named["log_std"], -cfg.entropy_coef)
 
     def test_gradient_matches_vanilla_pg_at_old_policy(self):
         # With a huge clip range the surrogate gradient at the behavior
@@ -246,11 +248,12 @@ class TestPpoUpdate:
         adv = np.asarray(normalize_advantages(batch.rewards)).reshape(-1)
         returns = np.zeros_like(adv)
 
-        grads, _ = surrogate_grads(policy, obs, act, logp_old, adv, returns, cfg)
+        # A copy: the reference's backward passes below write the actor's gradient.
+        grads = surrogate_grads(policy, obs, act, logp_old, adv, returns, cfg)[0].copy()
 
         # Reference: per-sample REINFORCE accumulation, separate code path.
         m = obs.shape[0]
-        ref = {k: np.zeros_like(v) for k, v in policy.actor.params().items()}
+        ref = np.zeros_like(policy.actor.params)
         ref_log_std = np.zeros(3)
         std = np.exp(policy.log_std)
         span = np.array([0.4, 0.3, math.radians(10.0)])
@@ -260,14 +263,11 @@ class TestPpoUpdate:
             z = (act[i] - mean[0]) / std
             dlogp_dmean = z / std
             draw = dlogp_dmean * 0.5 * span * (1.0 - np.tanh(raw[0]) ** 2)
-            sample = policy.actor.backward(acts, (-adv[i] / m) * draw[None, :])
-            for k in ref:
-                ref[k] += sample[k]
+            ref += policy.actor.backward(acts, (-adv[i] / m) * draw[None, :])
             ref_log_std += (-adv[i] / m) * (z * z - 1.0)
 
-        for k in ref:
-            assert np.allclose(grads[f"actor.{k}"], ref[k], atol=1e-8)
-        assert np.allclose(grads["log_std"], ref_log_std, atol=1e-8)
+        assert np.allclose(grads[: ref.size], ref, atol=1e-8)
+        assert np.allclose(grads[-3:], ref_log_std, atol=1e-8)
 
     def test_surrogate_gradient_matches_finite_differences(self):
         policy, batch = self._batch_and_policy(seed=4)
@@ -294,31 +294,32 @@ class TestPpoUpdate:
                 - cfg.entropy_coef * policy.entropy()
             )
 
-        grads, _ = surrogate_grads(policy, obs, act, logp_old, adv, returns, cfg)
-        params = policy.params()
+        grads = surrogate_grads(policy, obs, act, logp_old, adv, returns, cfg)[0].copy()
+        params = policy.params
         h = 1e-6
         rng2 = np.random.default_rng(6)
         worst = 0.0
-        for name, p in params.items():
-            flat = p.reshape(-1)
-            for idx in rng2.choice(flat.size, size=min(10, flat.size), replace=False):
-                orig = flat[idx]
-                flat[idx] = orig + h
+        offset = 0
+        # Ten probes in each named part of the flat vector (actor.W0, ..., log_std).
+        for _, part in policy.named_grads():
+            for idx in offset + rng2.choice(part.size, size=min(10, part.size), replace=False):
+                orig = params[idx]
+                params[idx] = orig + h
                 hi = loss()
-                flat[idx] = orig - h
+                params[idx] = orig - h
                 lo = loss()
-                flat[idx] = orig
+                params[idx] = orig
                 numeric = (hi - lo) / (2 * h)
-                analytic = grads[name].reshape(-1)[idx]
+                analytic = grads[idx]
                 scale = max(abs(numeric), abs(analytic), 1e-6)
                 worst = max(worst, abs(numeric - analytic) / scale)
+            offset += part.size
+        assert offset == params.size
         assert worst <= 1e-4
 
 
-def assert_params_equal(a: dict, b: dict) -> None:
-    assert a.keys() == b.keys()
-    for k in a:
-        assert np.array_equal(a[k], b[k]), k
+def assert_params_equal(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestJointUpdate:
@@ -327,7 +328,7 @@ class TestJointUpdate:
         # it is, and its policy step is plain PPO on the supervised batch.
         cfg = toy_ppo(alpha=0.0)
         estimator = build_estimator_net(np.random.default_rng(10), hidden=4)
-        initial = {k: v.copy() for k, v in estimator.params().items()}
+        initial = estimator.params.copy()
         fit = _EstimatorFit(estimator, AdamState(lr=1e-2), TerrainLossWeights(), epochs=2, alpha=0.0)
         envs, samplers = _blind_envs(seed=8)
         pol_a = GaussianPolicy(OBS_DIM[ObsMode.BLIND], np.random.default_rng(8))
@@ -343,8 +344,8 @@ class TestJointUpdate:
         for _ in range(2):
             batch = collect(envs, samplers, pol_b, cfg, collect_rng, collect_supervision=True)
             stats = ppo_update(pol_b, batch, cfg, adam, update_rng)
-        assert_params_equal(pol_a.params(), pol_b.params())
-        assert_params_equal(estimator.params(), initial)
+        assert_params_equal(pol_a.params, pol_b.params)
+        assert_params_equal(estimator.params, initial)
         assert curves[-1]["policy_loss"] == stats["policy_loss"]
         assert not math.isnan(curves[-1]["terrain_loss"])
 
@@ -405,9 +406,7 @@ class TestTraining:
         a = train_policy(cfg, TOY_WORLD, toy_ppo(), 3, seed=18)
         b = train_policy(cfg, TOY_WORLD, toy_ppo(), 3, seed=18)
         assert curves_equal(a.curves, b.curves)
-        pa, pb = a.policy.params(), b.policy.params()
-        for k in pa:
-            assert np.array_equal(pa[k], pb[k])
+        assert_params_equal(a.policy.params, b.policy.params)
 
     def test_three_stage_reduces_to_plain_ppo_when_only_stage1(self):
         env_cfg = EnvConfig(
@@ -482,8 +481,8 @@ class TestTraining:
             curves.append(_curve_row(update, stats, batch.episodes))
 
         assert curves_equal(full.curves, curves)
-        assert_params_equal(full.policy.params(), policy.params())
-        assert_params_equal(full.estimator.params(), estimator.params())
+        assert_params_equal(full.policy.params, policy.params)
+        assert_params_equal(full.estimator.params, estimator.params)
 
     def test_batches_without_supervision_skip_the_estimator_step(self):
         # With a rollout horizon shorter than the token refresh period, some

@@ -360,9 +360,3 @@ class TestGroundTruthToken:
             token = ground_truth_token(spec, 0.0, (x, 0.0), window)
             assert (token.stair_class == StairClass.STAIRS_UP) == inside, x
 
-    def test_token_vector_layout(self):
-        token = TerrainToken(StairClass.STAIRS_DOWN, 0.1, 0.3, -0.2)
-        vec = token.as_vector()
-        assert vec.shape == (6,)
-        assert list(vec[:3]) == [0.0, 0.0, 1.0]
-        assert tuple(vec[3:]) == (0.1, 0.3, -0.2)
