@@ -68,15 +68,15 @@ CH_MAX, CH_MIN, CH_MEAN, CH_RANGE, CH_STD, CH_DENSITY = range(6)
 
 _MAGIC = b"BEVG"
 _VERSION = 1
+_RESOLUTION_BYTES = struct.pack("<f", RESOLUTION)  # the header's cell size; no other is read
 
 
 @dataclass(frozen=True)
 class BevGrid:
-    """6 x 60 x 60 statistics map plus per-cell occupancy flags."""
+    """6 x 60 x 60 statistics map plus per-cell occupancy flags, RESOLUTION m per cell."""
 
     data: np.ndarray
     occupancy: np.ndarray
-    resolution: float = RESOLUTION
 
     def __post_init__(self) -> None:
         if self.data.shape != (N_CHANNELS, GRID_SIZE, GRID_SIZE):
@@ -336,11 +336,11 @@ def project(cloud: PointCloud) -> BevGrid:
 
 
 def write_grid(path, grid: BevGrid) -> None:
-    """Binary grid file: BEVG magic, dims, f32 channel data, occupancy bytes."""
+    """Binary grid file: BEVG magic, dims, f32 RESOLUTION, f32 channel data, occupancy bytes."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIII", _VERSION, N_CHANNELS, GRID_SIZE, GRID_SIZE))
-        fh.write(struct.pack("<f", grid.resolution))
+        fh.write(_RESOLUTION_BYTES)
         fh.write(grid.data.astype("<f4").tobytes(order="C"))
         fh.write(grid.occupancy.astype(np.uint8).tobytes(order="C"))
 
@@ -360,15 +360,13 @@ def read_grid(path) -> BevGrid:
     size = 24 + 4 * n_data + height * width
     if len(raw) != size:
         raise ValueError(f"{path}: grid file has {len(raw)} bytes, expected {size}")
-    (resolution,) = struct.unpack_from("<f", raw, 20)
+    if raw[20:24] != _RESOLUTION_BYTES:
+        resolution = np.frombuffer(raw, dtype="<f4", count=1, offset=20)[0]
+        raise ValueError(f"{path}: grid resolution {resolution!s} m, expected {RESOLUTION} m")
     offset = 24
     data = np.frombuffer(raw, dtype="<f4", count=n_data, offset=offset).astype(float)
-    if not (np.isfinite(data).all() and np.isfinite(resolution)):
+    if not np.isfinite(data).all():
         raise ValueError(f"{path}: grid file holds non-finite values")
     offset += 4 * n_data
     occ = np.frombuffer(raw, dtype=np.uint8, count=height * width, offset=offset)
-    return BevGrid(
-        data.reshape(channels, height, width),
-        occ.reshape(height, width).astype(bool),
-        float(resolution),
-    )
+    return BevGrid(data.reshape(channels, height, width), occ.reshape(height, width).astype(bool))

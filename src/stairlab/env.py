@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .bev import EXTENT
-from .errors import ConfigError, check_counts
+from .errors import ConfigError, check_counts, check_positive
 from .estimator import EstimatorConfig
 from .sensor import SensorModel
 from .tokens import TokenFeed, TokenSource
@@ -69,6 +69,9 @@ class RewardWeights:
     tracking_scale: float = 0.3
     terminal_bonus: float = 10.0
 
+    def __post_init__(self) -> None:
+        check_positive(self, "[env] ", "tracking_scale")
+
 
 @dataclass(frozen=True)
 class EnvConfig:
@@ -92,6 +95,10 @@ class EnvConfig:
 
     def __post_init__(self) -> None:
         check_counts(self, "[env] ", horizon=1, token_refresh=1)
+        check_counts(self, "[env] ", token_noise_h=0, token_noise_d=0, heightscan_noise=0)
+        check_positive(self, "[env] ", "step_dt")
+        if not 0.0 < self.v_avg_alpha <= 1.0:
+            raise ConfigError(f"[env] v_avg_alpha must lie in (0, 1], got {self.v_avg_alpha}")
         if not 0.0 <= self.token_flip_p <= 1.0:
             raise ConfigError("token_flip_p must lie in [0, 1]")
         if self.sensor.window > EXTENT:

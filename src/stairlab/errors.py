@@ -26,6 +26,14 @@ def check_counts(obj, prefix: str = "", **lows: int) -> None:
             raise ConfigError(f"{prefix}{name} must be {bound}, got {value}")
 
 
+def check_positive(obj, prefix: str, *names: str) -> None:
+    """Reject each setting of ``obj`` named in ``names`` that is not above 0, naming the key."""
+    for name in names:
+        value = getattr(obj, name)
+        if not value > 0:
+            raise ConfigError(f"{prefix}{name} must be positive, got {value}")
+
+
 def check_listed(obj, prefix: str, *names: str) -> None:
     """Reject each list of ``obj`` named in ``names`` that is empty, naming the key."""
     for name in names:

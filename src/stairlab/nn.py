@@ -3,6 +3,12 @@ multi-task terrain loss, and an Adam optimizer.
 
 Everything is plain float64 numpy with deterministic, order-fixed
 reductions so identical seeds reproduce identical parameters bit for bit.
+Every exp and log of training (the softmax here, the policy's std and
+density ratio in ``ppo``) goes through ``libm``, the C library's scalar
+functions, because numpy's AVX2 and AVX-512 exp and log loops round
+differently. So the bytes hold per (numpy version, libm, BLAS on one
+thread), and AVX2 and AVX-512 agree; below AVX2, ``np.tanh`` rounds
+differently again, so the training bytes need at least AVX2.
 
 Each ``Mlp`` keeps all its parameters in one flat float64 vector
 ``params``, laid out as an MLP1 checkpoint stores them (W0, b0, W1, b1,
@@ -42,6 +48,7 @@ order, so parameters and moments keep every bit. The contract:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -196,9 +203,19 @@ def smooth_l1_grad(err: np.ndarray) -> np.ndarray:
     return np.where(np.abs(err) <= 1.0, err, np.sign(err))
 
 
+def libm(fn, x) -> np.ndarray:
+    """``fn`` (``math.exp`` or ``math.log``) of each element of ``x``, as a new float64 array.
+
+    One scalar C-library call per element, so the result does not depend on
+    which of numpy's SIMD loops the CPU runs (see the module docstring).
+    """
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted - libm(math.log, libm(math.exp, shifted).sum(axis=1, keepdims=True))
 
 
 def terrain_loss(
@@ -231,7 +248,7 @@ def terrain_loss_grad(
     """Gradients of the summed per-sample loss w.r.t. (logits, h_hat, d_hat)."""
     logits = np.atleast_2d(logits)
     gt_class = np.atleast_1d(gt_class).astype(int)
-    softmax = np.exp(_log_softmax(logits))
+    softmax = libm(math.exp, _log_softmax(logits))
     one_hot = np.zeros_like(softmax)
     one_hot[np.arange(logits.shape[0]), gt_class] = 1.0
     d_logits = w.lambda_cls * (softmax - one_hot)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .env import ACTION_HIGH, ACTION_LOW, OBS_DIM, EnvConfig, EpisodeRecord, StepperEnv, TokenSource
-from .errors import ConfigError, TrainingError, check_counts
+from .errors import ConfigError, TrainingError, check_counts, check_positive
 from .nn import (
     AdamState,
     Mlp,
@@ -33,6 +33,7 @@ from .nn import (
     adam_step,
     build_estimator_net,
     estimator_heads,
+    libm,
     load_mlp,
     save_mlp,
     terrain_loss,
@@ -63,8 +64,7 @@ class PpoConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma <= 1.0 or not 0.0 <= self.gae_lambda <= 1.0:
             raise ConfigError("gamma and gae_lambda must lie in [0, 1]")
-        if self.clip <= 0.0:
-            raise ConfigError("clip must be positive")
+        check_positive(self, "", "clip", "learning_rate")
         check_counts(self, epochs=1, minibatches=1, horizon=1, n_envs=1)
         if self.minibatches > self.n_envs * self.horizon:
             raise ConfigError(
@@ -86,8 +86,7 @@ class TrainConfig:
         check_counts(self, stage1_updates=0, stage2_updates=0, stage3_updates=0, stage2_epochs=0)
         if self.stage1_updates + self.stage2_updates + self.stage3_updates == 0:
             raise ConfigError("at least one stage needs a positive update budget")
-        if self.estimator_lr <= 0:
-            raise ConfigError("estimator_lr must be positive")
+        check_positive(self, "", "estimator_lr")
 
 
 class WorldSampler:
@@ -115,7 +114,7 @@ class GaussianPolicy:
         critic = Mlp.create([obs_dim, *hidden, 1], rng)
         self.obs_dim = obs_dim
         # One vector [actor | critic | log_std]; the nets and log_std are views of it.
-        log_std = np.log(INIT_STD_FRACTION * _ACTION_SPAN)
+        log_std = libm(math.log, INIT_STD_FRACTION * _ACTION_SPAN)
         self.params = np.concatenate([actor.params, critic.params, log_std])
         self.grads = np.zeros_like(self.params)
         a, c = actor.params.size, actor.params.size + critic.params.size
@@ -132,10 +131,10 @@ class GaussianPolicy:
     def value(self, obs: np.ndarray) -> np.ndarray:
         return self.critic(np.atleast_2d(obs))[:, 0]
 
-    def log_prob(self, actions: np.ndarray, mean: np.ndarray) -> np.ndarray:
-        std = np.exp(self.log_std)
+    def log_density(self, actions: np.ndarray, mean: np.ndarray, std: np.ndarray):
+        """(log-density of each row of ``actions``, standardized residual z); ``std`` is exp(log_std)."""
         z = (actions - mean) / std
-        return -0.5 * (z * z).sum(axis=1) - self.log_std.sum() - 1.5 * _LOG_2PI
+        return -0.5 * (z * z).sum(axis=1) - self.log_std.sum() - 1.5 * _LOG_2PI, z
 
     def entropy(self) -> float:
         return float(self.log_std.sum() + 1.5 * (1.0 + _LOG_2PI))
@@ -143,9 +142,9 @@ class GaussianPolicy:
     def act_batch(self, obs: np.ndarray, rng: np.random.Generator):
         obs = np.atleast_2d(obs)
         mean = self.squash(self.actor(obs))
-        std = np.exp(self.log_std)
+        std = libm(math.exp, self.log_std)
         actions = mean + std * rng.standard_normal(mean.shape)
-        return actions, self.log_prob(actions, mean), self.value(obs)
+        return actions, self.log_density(actions, mean, std)[0], self.value(obs)
 
     def named_grads(self) -> list[tuple[str, np.ndarray]]:
         """(name, view of ``grads``) per parameter: actor.W0, ..., critic.W0, ..., log_std."""
@@ -286,11 +285,10 @@ def surrogate_grads(
     m = obs.shape[0]
     raw, actor_acts = policy.actor.forward(obs)
     mean = policy.squash(raw)
-    std = np.exp(policy.log_std)
-    z = (actions - mean) / std
-    logp = -0.5 * (z * z).sum(axis=1) - policy.log_std.sum() - 1.5 * _LOG_2PI
+    std = libm(math.exp, policy.log_std)
+    logp, z = policy.log_density(actions, mean, std)
 
-    ratio = np.exp(logp - logp_old)
+    ratio = libm(math.exp, logp - logp_old)
     unclipped = ratio * adv
     clipped = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * adv
     objective = np.minimum(unclipped, clipped)

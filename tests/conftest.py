@@ -1,17 +1,12 @@
-"""Pin BLAS to one thread and numpy to its AVX2 loops before any test module imports numpy.
+"""Pin BLAS to one thread before any test module imports numpy.
 
-``stairlab`` sets the BLAS pin on import, but the test modules import
-numpy first, and BLAS reads these variables only when numpy loads.
-
-numpy picks its SIMD loops for the CPU it runs on, and ``np.exp`` and
-``np.log`` round differently in their AVX2 and AVX-512 loops, so the
-training goldens would hold on one kind of x86 machine only. Disabling
-the AVX-512 levels makes every x86 CPU with AVX2 run the same loops. A
-caller who sets ``NPY_DISABLE_CPU_FEATURES`` keeps their own setting.
+``import stairlab`` sets the pin, and BLAS reads it only when numpy
+loads, so this runs before the test modules, which import numpy first.
+The suite sets no other variable: numpy runs the SIMD loops of the CPU
+it finds. Every exp and log of training goes through libm, so the
+outputs hold per (numpy version, libm, BLAS on one thread), and numpy's
+AVX2 and AVX-512 loops give the same bytes. Below AVX2, ``np.tanh``
+rounds differently, so the training goldens need at least AVX2.
 """
 
-import os
-
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-os.environ.setdefault("NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR")
+import stairlab  # noqa: F401

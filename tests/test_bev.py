@@ -520,7 +520,19 @@ class TestGridFile:
         # Payload is f32; compare at that precision.
         assert np.array_equal(loaded.data, grid.data.astype("<f4").astype(float))
         assert np.array_equal(loaded.occupancy, grid.occupancy)
-        assert loaded.resolution == pytest.approx(0.05)
+        # The header holds the one cell size every grid has.
+        assert path.read_bytes()[20:24] == np.array([RESOLUTION], dtype="<f4").tobytes()
+
+    @pytest.mark.parametrize("value, shown", [(0.1, "0.1"), (-3.0, "-3.0"), (np.nan, "nan")])
+    def test_other_resolution_rejected(self, tmp_path, value, shown):
+        path = tmp_path / "g.bevg"
+        write_grid(path, project(cloud_of([[0.0, 0.0, 0.5]])))
+        raw = bytearray(path.read_bytes())
+        raw[20:24] = np.array([value], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError) as exc:
+            read_grid(path)
+        assert str(exc.value) == f"{path}: grid resolution {shown} m, expected 0.05 m"
 
     def test_write_deterministic_bytes(self, tmp_path):
         grid = project(cloud_of([[0.0, 0.0, 0.5], [0.3, -0.2, 0.1]]))

@@ -179,7 +179,7 @@ class TestSingleFileCommands:
         assert captured.err.startswith(f"error: {bad}: line ")
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("damage", ["truncate", "nan"])
+    @pytest.mark.parametrize("damage", ["truncate", "nan", "resolution"])
     def test_damaged_grid_nonzero_exit(self, tmp_path, capsys, damage):
         _, path = self.make_cloud(tmp_path)
         grid_path = tmp_path / "grid.bevg"
@@ -188,6 +188,8 @@ class TestSingleFileCommands:
         raw = grid_path.read_bytes()
         if damage == "truncate":
             raw = raw[:-100]
+        elif damage == "resolution":
+            raw = raw[:20] + np.array([0.1], dtype="<f4").tobytes() + raw[24:]
         else:
             cells = np.frombuffer(raw, dtype="<f4", count=6 * 60 * 60, offset=24).copy()
             cells[:] = np.nan

@@ -299,6 +299,17 @@ def test_split_keys_apply_together():
         ),
         ("[train]\nstage2_epochs = -1\n", "stage2_epochs must be non-negative, got -1"),
         ("[loss]\nlambda_h = -1\n", "[loss] lambda_h must be non-negative, got -1.0"),
+        ("[ppo]\nlearning_rate = -1\n", "learning_rate must be positive, got -1.0"),
+        ("[env]\nstep_dt = 0\n", "[env] step_dt must be positive, got 0.0"),
+        ("[env]\nstep_dt = -1\n", "[env] step_dt must be positive, got -1.0"),
+        ("[env]\ntracking_scale = 0\n", "[env] tracking_scale must be positive, got 0.0"),
+        ("[env]\nv_avg_alpha = 2\n", "[env] v_avg_alpha must lie in (0, 1], got 2.0"),
+        ("[env]\ntoken_noise_h = -0.1\n", "[env] token_noise_h must be non-negative, got -0.1"),
+        ("[env]\ntoken_noise_d = -0.1\n", "[env] token_noise_d must be non-negative, got -0.1"),
+        (
+            "[env]\nheightscan_noise = -0.01\n",
+            "[env] heightscan_noise must be non-negative, got -0.01",
+        ),
     ],
 )
 def test_update_counts_rejected(text, message):

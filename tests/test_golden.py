@@ -11,20 +11,20 @@ the token sources, the stepper or the training loop that alters any
 output byte or any draw fails here; such a change must record the new
 digests and say which outputs changed and why.
 
-The digests rest on numpy's sort and summation kernels, so they hold for
-the numpy version CI pins (2.4.6), and on BLAS running on one thread:
-the estimator net's products round differently when split across
-threads. ``stairlab`` pins BLAS to one thread on import, and
-``conftest.py`` pins it before the test modules import numpy, so the
-digests hold whatever ``OPENBLAS_NUM_THREADS`` the suite is run with.
+The digests hold per (numpy version, libm, BLAS on one thread). They
+rest on numpy's sort and summation kernels, so they hold for the numpy
+version CI pins (2.4.6); on libm, because every exp and log of training
+goes through the C library's scalar functions rather than numpy's SIMD
+loops; and on BLAS running on one thread: the estimator net's products
+round differently when split across threads. ``stairlab`` pins BLAS to
+one thread on import, and ``conftest.py`` imports it before the test
+modules import numpy, so the digests hold whatever
+``OPENBLAS_NUM_THREADS`` the suite is run with.
 
-The training and command digests also rest on numpy's SIMD level:
-``np.exp`` and ``np.log`` round differently in numpy's AVX2 and AVX-512
-loops. ``conftest.py`` disables the AVX-512 levels
-(``NPY_DISABLE_CPU_FEATURES``) unless the caller sets that variable, so
-these digests were recorded with the AVX2 loops and hold on any x86 CPU
-with AVX2. The perception digests hold at every level down to numpy's
-baseline.
+numpy's AVX2 and AVX-512 loops give the same bytes, and the suite runs
+the loops of the CPU it finds. Below AVX2, ``np.tanh`` rounds
+differently, so the training and command digests need at least AVX2;
+the perception digests hold at every level down to numpy's baseline.
 """
 
 import hashlib
@@ -274,30 +274,46 @@ def test_command_outputs_match_golden_bytes(tmp_path):
     assert command_digests(tmp_path) == COMMAND_GOLDEN
 
 
-def test_numpy_runs_without_its_avx512_loops():
-    # conftest.py sets the pin before anything imports numpy; a caller's own setting stays.
-    from numpy._core._multiarray_umath import __cpu_features__
-
-    if "X86_V4" not in os.environ["NPY_DISABLE_CPU_FEATURES"].split():
-        pytest.skip("the caller chose other SIMD levels")
-    assert not __cpu_features__.get("X86_V4", False)
+AVX512_LEVELS = "X86_V4 AVX512_ICL AVX512_SPR"  # NPY_DISABLE_CPU_FEATURES value that leaves AVX2
 
 
-def _cli_train_bytes(out_root, blas_threads: str) -> dict[str, bytes]:
-    """Bytes of the default tiny ``train``'s outputs, run by the CLI in a fresh process."""
+def _fresh_env(blas_threads: str = "1", disabled_simd: str = "") -> dict[str, str]:
+    """Environment of a fresh stairlab process.
+
+    The process asks BLAS for ``blas_threads`` threads before stairlab is
+    imported, and numpy runs without the SIMD levels in ``disabled_simd``.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in ("STAIRLAB_OUT", "NPY_DISABLE_CPU_FEATURES")}
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = blas_threads
+    if disabled_simd:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled_simd
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _cli_train_bytes(out_root, env: dict[str, str]) -> dict[str, bytes]:
+    """Bytes of the default tiny ``train``'s outputs, run by the CLI in a process with ``env``."""
     out_root.mkdir()
     config = out_root / "train.ini"
     config.write_text(TRAIN.format(env="", extra=""))
-    env = {k: v for k, v in os.environ.items() if k != "STAIRLAB_OUT"}
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = blas_threads
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     command = [sys.executable, "-m", "stairlab.cli", "--config", str(config), "--out", str(out_root)]
     subprocess.run([*command, "train"], env=env, check=True, capture_output=True)
     return {name: (out_root / "train" / name).read_bytes() for name in TRAIN_FILES}
 
 
 def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # Each process asks BLAS for its own thread count before stairlab is imported.
-    assert _cli_train_bytes(tmp_path / "one", "1") == _cli_train_bytes(tmp_path / "four", "4")
+    one = _cli_train_bytes(tmp_path / "one", _fresh_env("1"))
+    assert one == _cli_train_bytes(tmp_path / "four", _fresh_env("4"))
+
+
+def test_train_bytes_do_not_depend_on_numpy_avx512_loops(tmp_path):
+    # numpy's AVX2 and AVX-512 exp and log round differently; training calls libm's instead.
+    probe = "from numpy._core._multiarray_umath import __cpu_features__ as f; print(f.get('X86_V4', False))"
+    native = _fresh_env()
+    found = subprocess.run([sys.executable, "-c", probe], env=native, check=True, capture_output=True, text=True)
+    if found.stdout.strip() != "True":
+        pytest.skip("this CPU has no AVX-512, so numpy runs no AVX-512 loops")
+    avx2 = _fresh_env(disabled_simd=AVX512_LEVELS)
+    assert _cli_train_bytes(tmp_path / "native", native) == _cli_train_bytes(tmp_path / "avx2", avx2)
