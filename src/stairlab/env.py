@@ -15,14 +15,15 @@ learned tokens need the ``estimator_net`` (an ``nn.Mlp``) the env is built with.
 
 A step makes no numpy call on scalar data. Heights, the edge test and
 the next-riser distance are the ``TerrainProfile``'s float queries, bit
-for bit what its array queries give. The swing arc's samples are the one
-array: a cached ``linspace`` per sample count, with the terrain under it
-computed in place.
+for bit what its array queries give. The swing arc's samples are a cached
+tuple of floats. Its foot ``apex - coeff * du * du``, ``du = u[k] - u_star``
+and ``coeff >= 0``, is built of correctly rounded monotone operations, so it
+rises to the apex and then falls, and the tread under it is monotone in k:
+the scuff test compares only the end samples of each tread.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -94,9 +95,11 @@ class EnvConfig:
     estimator: EstimatorConfig = EstimatorConfig()
 
     def __post_init__(self) -> None:
-        check_counts(self, "[env] ", horizon=1, token_refresh=1)
+        check_counts(self, "[env] ", horizon=1, token_refresh=1, edge_margin=0)
         check_counts(self, "[env] ", token_noise_h=0, token_noise_d=0, heightscan_noise=0)
-        check_positive(self, "[env] ", "step_dt")
+        check_positive(self, "[env] ", "step_dt", "flat_goal")
+        if not -math.inf < self.v_cmd_range[0] <= self.v_cmd_range[1] < math.inf:
+            raise ConfigError(f"[env] need finite v_cmd_min <= v_cmd_max, got {self.v_cmd_range}")
         if not 0.0 < self.v_avg_alpha <= 1.0:
             raise ConfigError(f"[env] v_avg_alpha must lie in (0, 1], got {self.v_avg_alpha}")
         if not 0.0 <= self.token_flip_p <= 1.0:
@@ -128,39 +131,39 @@ class EvalMetrics:
     success_rate: float
 
 
-def arc_heights(z0: float, z1: float, clearance: float, u: np.ndarray) -> np.ndarray:
-    """Swing-foot height along the arc, parametrized by u in [0, 1].
-
-    The arc is the parabola through (0, z0) and (1, z1) whose maximum is
-    max(z0, z1) + clearance. With zero clearance the vertex sits at the
-    higher endpoint (a flat segment degenerates to a straight line).
-    """
-    apex = max(z0, z1) + clearance
-    a0 = math.sqrt(max(apex - z0, 0.0))
-    a1 = math.sqrt(max(apex - z1, 0.0))
-    if a0 + a1 == 0.0:
-        return np.full_like(np.asarray(u, dtype=float), apex)
-    u_star = a0 / (a0 + a1)
-    if u_star > 0.0:
-        coeff = (apex - z0) / (u_star * u_star)
-    else:
-        coeff = apex - z1
-    du = np.asarray(u, dtype=float) - u_star
-    return apex - coeff * du * du
-
-
 _HEIGHTSCAN_OFFSETS = HEIGHTSCAN_SPACING * np.arange(1, HEIGHTSCAN_SAMPLES + 1)
 
 # The token's class one-hot in the observation, indexed by class.
 _ONE_HOT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
-@functools.lru_cache(maxsize=64)
-def _arc_samples(n: int) -> np.ndarray:
-    """``np.linspace(0, 1, n + 1)``, read-only; strides within bounds need n <= 50."""
-    u = np.linspace(0.0, 1.0, n + 1)
-    u.flags.writeable = False
-    return u
+_ARC_N = math.ceil(STRIDE_BOUNDS[1] / ARC_SAMPLE_PITCH)  # the most sample gaps a stride needs
+_ARC_U = [tuple(np.linspace(0.0, 1.0, n + 1).tolist()) for n in range(_ARC_N + 1)]  # floats, by n
+
+
+def arc_scuffs(
+    profile: TerrainProfile, s: float, ds: float, z0: float, z1: float, clearance: float
+) -> bool:
+    """Whether a sample of the arc from ``s`` to ``s + ds`` is over ``_SCUFF_EPS`` below terrain.
+
+    The foot, at least 3 samples ``ARC_SAMPLE_PITCH`` apart or closer, is the parabola
+    through (0, z0) and (1, z1) that peaks at ``max(z0, z1) + clearance``, clearance >= 0.
+    """
+    u = _ARC_U[max(2, math.ceil(abs(ds) / ARC_SAMPLE_PITCH))]
+    apex = max(z0, z1) + clearance
+    a0 = math.sqrt(max(apex - z0, 0.0))
+    a1 = math.sqrt(max(apex - z1, 0.0))
+    # a0 == 0 puts the vertex at u = 0; with a1 == 0 too, coeff is 0: a flat foot.
+    u_star = a0 / (a0 + a1) if a0 else 0.0
+    coeff = (apex - z0) / (u_star * u_star) if u_star > 0.0 else apex - z1
+    # Level ends put the terrain at z1 under the whole arc.
+    runs = ((0, len(u) - 1, z1),) if z0 == z1 else profile.tread_runs(s, ds, u)
+    for first, last, terrain in runs:
+        limit = terrain - _SCUFF_EPS
+        du0, du1 = u[first] - u_star, u[last] - u_star
+        if apex - coeff * du0 * du0 < limit or apex - coeff * du1 * du1 < limit:
+            return True
+    return False
 
 
 class StepperEnv:
@@ -194,7 +197,7 @@ class StepperEnv:
         self.prev_action = (0.0, 0.0, 0.0)
         self.t = 0
         self.done = False
-        self._goal_s = self.s + self.cfg.flat_goal if flat else float(profile.riser_positions()[-1])
+        self._goal_s = self.s + self.cfg.flat_goal if flat else profile.d * (profile.n_risers - 1)
         if self.cfg.command_schedule is None:
             lo, hi = self.cfg.v_cmd_range
             self._episode_cmd = float(self._rng.uniform(lo, hi))
@@ -251,20 +254,11 @@ class StepperEnv:
 
         he_new = wrap_pi(self.heading_err - dheading)
         ds = stride * math.cos(he_new)
-        s = self.s
-        s_new = s + ds
+        s_new = self.s + ds
         z0 = self.support_height
         z1 = self.profile.height(s_new)
 
-        u = _arc_samples(max(2, int(math.ceil(abs(ds) / ARC_SAMPLE_PITCH))))
-        foot = arc_heights(z0, z1, clearance, u)
-        if z0 == z1:
-            # The terrain is monotone along the arc, so it is z1 under all of it.
-            scuffed = bool(foot.min() < z1 - _SCUFF_EPS)
-        else:
-            terrain = self.profile.heights_along(s, ds, u)
-            terrain -= _SCUFF_EPS
-            scuffed = bool((foot < terrain).any())
+        scuffed = arc_scuffs(self.profile, self.s, ds, z0, z1, clearance)
         on_edge = not scuffed and self.profile.edge_gap(s_new) < cfg.edge_margin
 
         # State advances even on a terminal step, so it shows where the episode ended.
@@ -287,18 +281,11 @@ class StepperEnv:
             - w.heading * abs(he_new)
         )
 
-        event = "none"
-        if scuffed:
-            event = "scuff"
-            reward -= w.terminal_bonus
-            self.done = True
-        elif on_edge:
-            event = "edge"
-            reward -= w.terminal_bonus
-            self.done = True
-        elif s_new > self._goal_s:
+        event = "scuff" if scuffed else "edge" if on_edge else "none"
+        if event == "none" and s_new > self._goal_s:
             event = "success"
-            reward += w.terminal_bonus
+        if event != "none":
+            reward += w.terminal_bonus if event == "success" else -w.terminal_bonus
             self.done = True
 
         self._sum_abs_verr += abs(self.v_avg - self.v_cmd)

@@ -14,15 +14,15 @@ class TrainingError(StairlabError, RuntimeError):
 
 
 def check_counts(obj, prefix: str = "", **lows: int) -> None:
-    """Reject each count or weight of ``obj`` named in ``lows`` that lies below its bound, 0 or 1.
+    """Reject each count or weight named in ``lows`` that is below its bound, 0 or 1, or not finite.
 
     The message names the key, after ``prefix`` (the config section, where
     the key alone is ambiguous), and the value.
     """
     for name, low in lows.items():
         value = getattr(obj, name)
-        if value < low:
-            bound = "positive" if low else "non-negative"
+        if not low <= value < float("inf"):  # NaN fails every comparison
+            bound = "finite" if not value < low else "positive" if low else "non-negative"
             raise ConfigError(f"{prefix}{name} must be {bound}, got {value}")
 
 

@@ -65,7 +65,7 @@ class PpoConfig:
         if not 0.0 <= self.gamma <= 1.0 or not 0.0 <= self.gae_lambda <= 1.0:
             raise ConfigError("gamma and gae_lambda must lie in [0, 1]")
         check_positive(self, "", "clip", "learning_rate")
-        check_counts(self, epochs=1, minibatches=1, horizon=1, n_envs=1)
+        check_counts(self, epochs=1, minibatches=1, horizon=1, n_envs=1, entropy_coef=0, value_coef=0)
         if self.minibatches > self.n_envs * self.horizon:
             raise ConfigError(
                 f"minibatches {self.minibatches} exceeds the {self.n_envs * self.horizon} "

@@ -170,20 +170,32 @@ class TerrainProfile:
         """Terrain height at world (x, y); total function, accepts arrays."""
         return self.height_on_axis(self.along_axis(x, y))
 
-    def heights_along(self, s: float, ds: float, u: np.ndarray) -> np.ndarray:
-        """``height_on_axis(s + u * ds)`` in place, on stairs only; a zero's sign may differ."""
-        x = u * ds
-        x += s
-        x /= self.d
-        if self.up:
-            np.floor(x, out=x)
-            x += 1.0
-        else:
-            np.ceil(x, out=x)
-        np.maximum(x, 0.0, out=x)
-        np.minimum(x, self.n_risers, out=x)
-        x *= self.h if self.up else -self.h
-        return x
+    def tread_runs(self, s: float, ds: float, u) -> list[tuple[int, int, float]]:
+        """Samples ``u[k] * ds + s``, u rising from 0 to 1, by tread: (first k, last k, height).
+
+        On stairs only. Each run's end is guessed from its riser and corrected
+        on the samples, whose heights are ``height``'s (a zero's sign may differ).
+        """
+        n, d, top = len(u) - 1, self.d, self.n_risers
+        rnd, off, h = (math.floor, 1, self.h) if self.up else (math.ceil, 0, -self.h)
+
+        def tread(k):
+            t = rnd((u[k] * ds + s) / d) + off
+            return 0 if t < 0 else top if t > top else t
+
+        runs, k, v, v_n = [], 0, tread(0), tread(n)
+        while v != v_n:
+            # Tread v ends at riser v going up the axis, at riser v - 1 going down.
+            g = (d * (v if ds > 0.0 else v - 1) - s) / ds * n
+            end = math.ceil(g) if k < g < n else k + 1 if g <= k else n
+            while tread(end - 1) != v:
+                end -= 1
+            while (w := tread(end)) == v:
+                end += 1
+            runs.append((k, end - 1, h * v))
+            k, v = end, w
+        runs.append((k, n, h * v))
+        return runs
 
     def riser_positions(self) -> np.ndarray:
         """Along-axis positions of the riser lines (empty for flat terrain)."""

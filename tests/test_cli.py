@@ -458,6 +458,11 @@ class TestUpdateCountsRejected:
             ),
             ("[ppo]\n", "epochs = 0", "epochs must be positive, got 0"),
             ("[train]\n", "stage2_epochs = -1", "stage2_epochs must be non-negative, got -1"),
+            ("[env]\n", "token_noise_h = nan", "[env] token_noise_h must be finite, got nan"),
+            ("[env]\n", "token_noise_d = nan", "[env] token_noise_d must be finite, got nan"),
+            ("[env]\n", "heightscan_noise = inf", "[env] heightscan_noise must be finite, got inf"),
+            ("[env]\n", "edge_margin = -1", "[env] edge_margin must be non-negative, got -1.0"),
+            ("[ppo]\n", "value_coef = -1", "value_coef must be non-negative, got -1.0"),
         ],
     )
     def test_one_error_line(self, tmp_path, capsys, monkeypatch, section, setting, message):

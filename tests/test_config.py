@@ -310,12 +310,37 @@ def test_split_keys_apply_together():
             "[env]\nheightscan_noise = -0.01\n",
             "[env] heightscan_noise must be non-negative, got -0.01",
         ),
+        ("[env]\ntoken_noise_h = nan\n", "[env] token_noise_h must be finite, got nan"),
+        ("[env]\ntoken_noise_d = nan\n", "[env] token_noise_d must be finite, got nan"),
+        ("[env]\nheightscan_noise = inf\n", "[env] heightscan_noise must be finite, got inf"),
+        (
+            "[env]\nv_cmd_min = 0.5\nv_cmd_max = 0.1\n",
+            "[env] need finite v_cmd_min <= v_cmd_max, got (0.5, 0.1)",
+        ),
+        ("[env]\nv_cmd_min = nan\n", "[env] need finite v_cmd_min <= v_cmd_max, got (nan, 0.4)"),
+        ("[env]\nv_cmd_max = inf\n", "[env] need finite v_cmd_min <= v_cmd_max, got (0.2, inf)"),
+        ("[env]\nedge_margin = -1\n", "[env] edge_margin must be non-negative, got -1.0"),
+        ("[env]\nflat_goal = -1\n", "[env] flat_goal must be positive, got -1.0"),
+        ("[env]\nflat_goal = 0\n", "[env] flat_goal must be positive, got 0.0"),
+        ("[ppo]\nvalue_coef = -1\n", "value_coef must be non-negative, got -1.0"),
+        ("[ppo]\nentropy_coef = -1\n", "entropy_coef must be non-negative, got -1.0"),
     ],
 )
 def test_update_counts_rejected(text, message):
     with pytest.raises(ConfigError) as exc:
         parse_config_text(text, base_dir=None)
     assert str(exc.value) == message
+
+
+def test_env_and_ppo_edges_accepted():
+    # Bounds are inclusive where a zero or an empty command range still means something.
+    cfg = parse_config_text(
+        "[env]\nedge_margin = 0\nv_cmd_min = 0.3\nv_cmd_max = 0.3\nflat_goal = 0.5\n"
+        "[ppo]\nvalue_coef = 0\nentropy_coef = 0\n",
+        base_dir=None,
+    )
+    assert (cfg.env.edge_margin, cfg.env.v_cmd_range, cfg.env.flat_goal) == (0.0, (0.3, 0.3), 0.5)
+    assert (cfg.ppo.value_coef, cfg.ppo.entropy_coef) == (0.0, 0.0)
 
 
 def test_update_count_edges_accepted():

@@ -19,7 +19,7 @@ from stairlab.env import (
     ObsMode,
     StepperEnv,
     TokenSource,
-    arc_heights,
+    arc_scuffs,
     max_passable_height,
     metrics,
 )
@@ -49,6 +49,27 @@ def stairs(h=0.12, d=0.30, yaw=0.0, n=8, lead=0.3):
 
 def blind_cfg(**kw):
     return EnvConfig(obs_mode=ObsMode.BLIND, **kw)
+
+
+def arc_heights(z0: float, z1: float, clearance: float, u: np.ndarray) -> np.ndarray:
+    """Oracle: swing-foot height along the arc, parametrized by u in [0, 1].
+
+    The arc is the parabola through (0, z0) and (1, z1) whose maximum is
+    max(z0, z1) + clearance. With zero clearance the vertex sits at the
+    higher endpoint (a flat segment degenerates to a straight line).
+    """
+    apex = max(z0, z1) + clearance
+    a0 = math.sqrt(max(apex - z0, 0.0))
+    a1 = math.sqrt(max(apex - z1, 0.0))
+    if a0 + a1 == 0.0:
+        return np.full_like(np.asarray(u, dtype=float), apex)
+    u_star = a0 / (a0 + a1)
+    if u_star > 0.0:
+        coeff = (apex - z0) / (u_star * u_star)
+    else:
+        coeff = apex - z1
+    du = np.asarray(u, dtype=float) - u_star
+    return apex - coeff * du * du
 
 
 def _next_riser_distance(profile, s):
@@ -835,9 +856,210 @@ class TestScalarTerrainQueries:
 
     @pytest.mark.parametrize("spec", BOUNDARY_SPECS[:4], ids=spec_id)
     def test_arc_terrain_matches_height_on_axis(self, spec):
+        # tread_runs, spread over its samples, is height_on_axis on the arc;
+        # each run is a whole tread: its neighbours' heights differ from it.
         profile = TerrainProfile(spec)
         u = np.linspace(0.0, 1.0, 31)
         for s in boundary_positions(spec):
             for ds in (0.3, -0.3, 0.0):
                 want = profile.height_on_axis(s + u * ds)
-                assert np.array_equal(profile.heights_along(s, ds, u), want)
+                runs = profile.tread_runs(s, ds, u.tolist())
+                assert [first for first, _, _ in runs] == [0] + [last + 1 for _, last, _ in runs[:-1]]
+                assert runs[-1][1] == u.size - 1
+                got = np.concatenate([np.full(last - first + 1, h) for first, last, h in runs])
+                assert np.array_equal(got, want), (s, ds)
+                heights = [h for _, _, h in runs]
+                assert all(a != b for a, b in zip(heights, heights[1:]))
+
+
+def _arc_margins(profile, s, ds, z0, z1, clearance):
+    """Oracle: each sample's foot height and the limit it must not be below."""
+    u = np.linspace(0.0, 1.0, max(2, int(math.ceil(abs(ds) / ARC_SAMPLE_PITCH))) + 1)
+    foot = arc_heights(z0, z1, clearance, u)
+    if z0 == z1:
+        # The stepper's rule: level ends put the terrain at z1 under the whole arc.
+        limit = np.full_like(u, z1 - _SCUFF_EPS)
+    else:
+        limit = profile.height_on_axis(s + u * ds) - _SCUFF_EPS
+    return foot, limit
+
+
+def _array_scuffs(profile, s, ds, z0, z1, clearance):
+    """Oracle: the scuff test on every sample of the arc, in array math."""
+    foot, limit = _arc_margins(profile, s, ds, z0, z1, clearance)
+    return bool(np.any(foot < limit))
+
+
+def _flip_clearance(profile, s, ds, z0, z1, below=None):
+    """The least float clearance in [0, 0.3] at which the arc clears, by bisection.
+
+    With ``below(foot, limit)``, the least clearance at which that is false
+    instead of the scuff verdict. None where no flip lies in the range.
+    """
+    def scuffs(c):
+        foot, limit = _arc_margins(profile, s, ds, z0, z1, c)
+        return below(foot, limit) if below else bool(np.any(foot < limit))
+
+    lo, hi = CLEARANCE_BOUNDS
+    if not scuffs(lo) or scuffs(hi):
+        return None
+    while True:
+        mid = (lo + hi) / 2.0
+        if mid in (lo, hi):
+            return hi
+        if scuffs(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def _around(c, ulps=3):
+    """``c`` and the ``ulps`` floats either side of it; nothing for None."""
+    if c is None:
+        return []
+    out = [c]
+    lo = hi = c
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def _runs(limit):
+    """The [first, last] sample index of each run of equal limits."""
+    runs, first = [], 0
+    for k in range(1, limit.size + 1):
+        if k == limit.size or limit[k] != limit[first]:
+            runs.append((first, k - 1))
+            first = k
+    return runs
+
+
+def _random_arcs(seed, n_arcs, stair_class):
+    """Arcs from the stance foot as the stepper makes them, on random flights and strides."""
+    rng = np.random.default_rng(seed)
+    arcs = []
+    for _ in range(n_arcs):
+        spec = StairSpec(
+            stair_class, rng.uniform(0.05, 0.3), rng.uniform(0.2, 0.4), 0.0, 6, 1.0, 0.8
+        )
+        profile = TerrainProfile(spec)
+        s = rng.uniform(-0.5, 2.0)
+        ds = rng.uniform(-0.5, 0.5)
+        arcs.append((profile, s, ds, profile.height(s), profile.height(s + ds)))
+    return arcs
+
+
+def _assert_same_verdicts(profile, s, ds, z0, z1, clearances):
+    for c in clearances:
+        got = arc_scuffs(profile, s, ds, z0, z1, c)
+        assert got == _array_scuffs(profile, s, ds, z0, z1, c), (profile.spec, s, ds, z0, z1, c)
+
+
+def _within_one_ulp(foot, limit):
+    return abs(foot - limit) <= math.ulp(limit)
+
+
+STAIR_CLASSES = [StairClass.STAIRS_UP, StairClass.STAIRS_DOWN]
+
+
+class TestScalarScuffOracle:
+    """``arc_scuffs`` compares each tread's end samples; the oracle compares every sample."""
+
+    @pytest.mark.parametrize("stair_class", STAIR_CLASSES, ids=lambda c: c.name)
+    def test_foot_one_ulp_from_the_limit_at_a_run_end(self, stair_class):
+        close = 0
+        for arc in _random_arcs(11 + stair_class, 150, stair_class):
+            c = _flip_clearance(*arc)
+            if c is None:
+                continue
+            # At the flip the lowest sample relative to its limit is the binding one.
+            foot, limit = _arc_margins(*arc, c)
+            k = int(np.argmin(foot - limit))
+            assert any(k in run for run in _runs(limit))
+            close += _within_one_ulp(foot[k], limit[k])
+            _assert_same_verdicts(*arc, [0.0, *_around(c), CLEARANCE_BOUNDS[1]])
+        assert close >= 50
+
+    @pytest.mark.parametrize("stair_class", STAIR_CLASSES, ids=lambda c: c.name)
+    def test_foot_one_ulp_from_the_limit_inside_a_run(self, stair_class):
+        close = 0
+        for arc in _random_arcs(21 + stair_class, 100, stair_class):
+            _, limit = _arc_margins(*arc, 0.0)
+            for first, last in _runs(limit):
+                if last - first < 2:
+                    continue
+                mid = (first + last) // 2
+                c = _flip_clearance(*arc, below=lambda foot, limit: foot[mid] < limit[mid])
+                if c is None:
+                    continue
+                foot, limit = _arc_margins(*arc, c)
+                close += _within_one_ulp(foot[mid], limit[mid])
+                _assert_same_verdicts(*arc, _around(c))
+        assert close >= 30
+
+    @pytest.mark.parametrize("spec", BOUNDARY_SPECS, ids=spec_id)
+    def test_boundary_corpus(self, spec):
+        profile = TerrainProfile(spec)
+        for s in boundary_positions(spec):
+            for ds in (0.3, -0.3, 0.0):
+                z0, z1 = profile.height(s), profile.height(s + ds)
+                clearances = [0.0, 0.5 * spec.h_step, CLEARANCE_BOUNDS[1]]
+                clearances += _around(_flip_clearance(profile, s, ds, z0, z1))
+                _assert_same_verdicts(profile, s, ds, z0, z1, clearances)
+
+    def test_down_flight_samples_exactly_on_a_riser_quotient(self):
+        # ceil(q) steps down a tread just past an integer q; samples land on q itself.
+        spec = StairSpec(StairClass.STAIRS_DOWN, 0.17, 0.289, 0.0, 9, 1.0, 0.8)
+        profile = TerrainProfile(spec)
+        d = spec.d_step
+        on_integer = 0
+        for m in range(1, 6):
+            for ds, k in ((0.3, 10), (0.37, 20), (-0.3, 15), (0.5, 49)):
+                n = max(2, int(math.ceil(abs(ds) / ARC_SAMPLE_PITCH)))
+                uk = np.linspace(0.0, 1.0, n + 1)[k]
+                for s_on in _around(m * d - uk * ds, ulps=8):
+                    if (uk * ds + s_on) / d != m:
+                        continue
+                    on_integer += 1
+                    for s in _around(s_on, ulps=1):
+                        z0, z1 = profile.height(s), profile.height(s + ds)
+                        clearances = [0.0, 0.05, *_around(_flip_clearance(profile, s, ds, z0, z1))]
+                        _assert_same_verdicts(profile, s, ds, z0, z1, clearances)
+        assert on_integer >= 20
+
+    @pytest.mark.parametrize("stair_class", STAIR_CLASSES, ids=lambda c: c.name)
+    def test_strides_backwards_and_at_both_sample_counts(self, stair_class):
+        spec = StairSpec(stair_class, 0.15, 0.27, 0.0, 7, 1.0, 0.8)
+        profile = TerrainProfile(spec)
+        # n = 2 (|ds| <= 0.02, and ds = 0) and n = 50 (|ds| near the stride bound).
+        for ds in (0.0, 0.004, -0.02, 0.02, 0.5, -0.5, 0.495, -0.4951, 0.2, -0.2):
+            for s in np.linspace(-0.6, 2.1, 55).tolist():
+                z0, z1 = profile.height(s), profile.height(s + ds)
+                clearances = [0.0, 1e-12, 0.02, 0.15, 0.3]
+                clearances += _around(_flip_clearance(profile, s, ds, z0, z1))
+                _assert_same_verdicts(profile, s, ds, z0, z1, clearances)
+
+    def test_level_ends_and_the_flat_foot(self):
+        up = TerrainProfile(StairSpec(StairClass.STAIRS_UP, 0.15, 0.27, 0.0, 7, 1.0, 0.8))
+        down = TerrainProfile(StairSpec(StairClass.STAIRS_DOWN, 0.15, 0.27, 0.0, 7, 1.0, 0.8))
+        for profile in (up, down, TerrainProfile(FLAT)):
+            for s in (-0.3, -0.01, 0.1, 0.5, 1.9):
+                for ds in (0.0, 0.01, 0.3, -0.3, 0.5):
+                    # Level ends on the terrain, and level ends off it: the
+                    # stepper's rule puts the terrain at z1 under the arc.
+                    for z in (profile.height(s), 0.0, 0.3, -0.3, 0.15 - 1e-12):
+                        # Zero clearance over level ends is the flat foot (a0 + a1 == 0).
+                        _assert_same_verdicts(profile, s, ds, z, z, [0.0, 1e-17, 0.1])
+        # The flat foot never scuffs its own level.
+        for z in (0.0, 0.15, -0.45):
+            assert not arc_scuffs(up, 0.1, 0.3, z, z, 0.0)
+            assert _array_scuffs(up, 0.1, 0.3, z, z, 0.0) is False
+
+    def test_zero_clearance_over_a_riser_scuffs(self):
+        profile = TerrainProfile(StairSpec(StairClass.STAIRS_UP, 0.15, 0.27, 0.0, 7, 1.0, 0.8))
+        s, ds = -0.1, 0.3
+        z0, z1 = profile.height(s), profile.height(s + ds)
+        assert z1 > z0
+        assert arc_scuffs(profile, s, ds, z0, z1, 0.0)
+        assert _array_scuffs(profile, s, ds, z0, z1, 0.0)

@@ -248,6 +248,33 @@ class TestFlightQueries:
         assert profile.along_axis(x, y) == pytest.approx(profile.start_s, abs=1e-12)
         assert profile.height(profile.start_s) == 0.0
 
+    def test_tread_runs_read_two_samples_per_riser_crossed(self):
+        # The guess at each run's end is exact or one sample off, so the
+        # work grows with the risers crossed, not with the samples.
+        class CountingSamples:
+            def __init__(self, u):
+                self.u, self.reads = u, 0
+
+            def __len__(self):
+                return len(self.u)
+
+            def __getitem__(self, k):
+                self.reads += 1
+                return self.u[k]
+
+        rng = np.random.default_rng(3)
+        crossings = 0
+        for _ in range(500):
+            stair_class = StairClass(int(rng.integers(1, 3)))
+            h, d = rng.uniform(0.05, 0.3), rng.uniform(0.05, 0.4)
+            spec = StairSpec(stair_class, h, d, 0.0, 6, 1.0, 0.8)
+            ds = rng.uniform(-0.5, 0.5)
+            u = CountingSamples(np.linspace(0.0, 1.0, 51).tolist())
+            runs = TerrainProfile(spec).tread_runs(rng.uniform(-0.5, 2.5), ds, u)
+            crossings += len(runs) - 1
+            assert u.reads <= 2 + 3 * (len(runs) - 1)
+        assert crossings >= 200
+
 
 class TestOutArguments:
     """``along_axis`` and ``height_on_axis`` write into ``out`` with the bits of the fresh result."""
