@@ -22,80 +22,70 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 
-from .env import EnvConfig, ObsMode
-from .errors import ConfigError, check_counts, check_listed
+from .env import EnvConfig, ObsMode, Schedule
+from .errors import KEY_NAMES, ConfigError, Count, Finite, NonNegative, NonNegativeInt, Ordered, Unit
+from .errors import check_domains, domain_check
 from .ppo import PpoConfig, TrainConfig
 from .sensor import SensorModel
-from .world import ParameterRanges
+from .world import DepthBound, HeightBound, ParameterRanges, StepDepth, StepHeight
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    seeds: tuple[int, ...] = (1, 2, 3)
+    seeds: tuple[NonNegativeInt, ...] = (1, 2, 3)
     out_dir: str = "runs"
 
-    def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ConfigError("[run] seeds must list at least one seed")
+    __post_init__ = domain_check("[run] ")
 
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """Randomized estimator benchmark protocol."""
 
-    n_configs: int = 1000
-    h_range: tuple[float, float] = (0.10, 0.25)
-    d_range: tuple[float, float] = (0.25, 0.35)
-    yaw_range_deg: tuple[float, float] = (-20.0, 20.0)
-    class_weights: tuple[float, float, float] = (0.0, 0.5, 0.5)
-    dropout: float = 0.0
+    n_configs: Count = 1000
+    h_range: Ordered[HeightBound] = (0.10, 0.25)
+    d_range: Ordered[DepthBound] = (0.25, 0.35)
+    yaw_range_deg: Ordered[Finite] = (-20.0, 20.0)
+    class_weights: tuple[NonNegative, NonNegative, NonNegative] = (0.0, 0.5, 0.5)
+    dropout: Unit = 0.0
 
-    def __post_init__(self) -> None:
-        check_counts(self, "[benchmark] ", n_configs=1)
-        if not 0.0 <= self.dropout <= 1.0:
-            raise ConfigError(f"[benchmark] dropout must lie in [0, 1], got {self.dropout}")
+    __post_init__ = domain_check("[benchmark] ")
 
 
 @dataclass(frozen=True)
 class AblationConfig:
-    updates: int = 150
-    eval_episodes: int = 100
-    terrain_heights: tuple[float, ...] = (0.12, 0.16, 0.20, 0.24)
-    terrain_episodes: int = 30
-    success_threshold: float = 0.8
-    success_window: int = 10
+    updates: NonNegativeInt = 150
+    eval_episodes: Count = 100
+    terrain_heights: tuple[StepHeight, ...] = (0.12, 0.16, 0.20, 0.24)
+    terrain_episodes: Count = 30
+    success_threshold: Unit = 0.8
+    success_window: Count = 10
 
-    def __post_init__(self) -> None:
-        check_counts(
-            self, "[ablation] ", updates=0, eval_episodes=1, terrain_episodes=1, success_window=1
-        )
-        check_listed(self, "[ablation] ", "terrain_heights")
+    __post_init__ = domain_check("[ablation] ")
 
 
 @dataclass(frozen=True)
 class GeneralizeConfig:
-    updates: int = 150
-    train_heights: tuple[float, ...] = (0.12, 0.14, 0.16)
-    eval_heights: tuple[float, ...] = (0.12, 0.14, 0.16, 0.18, 0.20, 0.22)
-    episodes: int = 100
+    updates: NonNegativeInt = 150
+    train_heights: tuple[StepHeight, ...] = (0.12, 0.14, 0.16)
+    eval_heights: tuple[StepHeight, ...] = (0.12, 0.14, 0.16, 0.18, 0.20, 0.22)
+    episodes: Count = 100
     modes: tuple[ObsMode, ...] = (ObsMode.TOKEN, ObsMode.BLIND)
 
-    def __post_init__(self) -> None:
-        check_counts(self, "[generalize] ", updates=0, episodes=1)
-        check_listed(self, "[generalize] ", "train_heights", "eval_heights", "modes")
+    __post_init__ = domain_check("[generalize] ")
 
 
 @dataclass(frozen=True)
 class TrackConfig:
-    updates: int = 150
-    schedule: tuple[tuple[int, float], ...] = ((0, 0.20), (60, 0.40), (120, 0.30))
-    h_step: float = 0.14
-    d_step: float = 0.30
-    n_steps: int = 400
+    updates: NonNegativeInt = 150
+    schedule: Schedule = ((0, 0.20), (60, 0.40), (120, 0.30))
+    h_step: StepHeight = 0.14
+    d_step: StepDepth = 0.30
+    n_steps: Count = 400
     policy_dir: str = ""
 
     def __post_init__(self) -> None:
-        check_counts(self, "[track] ", updates=0)
+        check_domains(self, "[track] ")
         times = [t for t, _ in self.schedule]
         if times[0] < 0 or times != sorted(set(times)):
             raise ConfigError(f"[track] schedule times must be >= 0 and strictly increasing: {times}")
@@ -260,7 +250,10 @@ def _field_type(cls, path: str):
 
 
 def _build_keys() -> dict[str, dict[str, tuple]]:
-    """section -> key -> (field path, tuple indices it sets or None, converter)."""
+    """section -> key -> (field path, tuple indices it sets or None, converter).
+
+    Each alias also goes into ``KEY_NAMES``, so that config errors name it.
+    """
     keys: dict[str, dict[str, tuple]] = {}
     for section, owner in _SECTIONS.items():
         cls = _field_type(ExperimentConfig, owner)
@@ -283,7 +276,10 @@ def _build_keys() -> dict[str, dict[str, tuple]]:
             convert = _converter(items[indices[0]] if indices else tp)
             if (section, key) in _DEGREE_KEYS:
                 convert = _in_radians(convert)
-            keys[section][key] = (f"{owner}.{name}", indices, convert)
+            path = f"{owner}.{name}"
+            keys[section][key] = (path, indices, convert)
+            parent, _, leaf = path.rpartition(".")
+            KEY_NAMES.update(((_field_type(ExperimentConfig, parent), leaf, i), key) for i in indices or (None,))
     return keys
 
 

@@ -28,11 +28,13 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from typing import Annotated
 
 import numpy as np
 
 from .bev import EXTENT
-from .errors import ConfigError, check_counts, check_positive
+from .errors import ConfigError, Count, Finite, Interval, NonNegative, Ordered, Positive, Unit
+from .errors import check_domains, domain_check
 from .estimator import EstimatorConfig
 from .sensor import SensorModel
 from .tokens import TokenFeed, TokenSource
@@ -63,51 +65,45 @@ HEIGHTSCAN_SPACING = 0.10
 
 @dataclass(frozen=True)
 class RewardWeights:
-    velocity: float = 1.0
-    forward: float = 2.0
-    clearance: float = 0.5
-    heading: float = 0.5
-    tracking_scale: float = 0.3
-    terminal_bonus: float = 10.0
+    velocity: NonNegative = 1.0
+    forward: NonNegative = 2.0
+    clearance: NonNegative = 0.5
+    heading: NonNegative = 0.5
+    tracking_scale: Positive = 0.3
+    terminal_bonus: NonNegative = 10.0
 
-    def __post_init__(self) -> None:
-        check_positive(self, "[env] ", "tracking_scale")
+    __post_init__ = domain_check("[env] ")
+
+
+# Piecewise-constant command speeds: (time, speed from then on) entries. The
+# times' order is a rule of the whole schedule (config.TrackConfig).
+Schedule = tuple[tuple[int, Finite], ...]
 
 
 @dataclass(frozen=True)
 class EnvConfig:
     obs_mode: ObsMode = ObsMode.TOKEN
     token_source: TokenSource = TokenSource.GROUND_TRUTH
-    horizon: int = 200
+    horizon: Count = 200
     reward: RewardWeights = RewardWeights()
-    edge_margin: float = 0.02
-    v_cmd_range: tuple[float, float] = (0.2, 0.4)
-    command_schedule: tuple[tuple[int, float], ...] | None = None
-    token_noise_h: float = 0.0
-    token_noise_d: float = 0.0
-    token_flip_p: float = 0.0
-    heightscan_noise: float = 0.0
-    flat_goal: float = 3.0
-    v_avg_alpha: float = 0.3
-    step_dt: float = 1.0
-    token_refresh: int = 5
+    edge_margin: NonNegative = 0.02
+    v_cmd_range: Ordered[Finite] = (0.2, 0.4)
+    command_schedule: Schedule | None = None
+    token_noise_h: NonNegative = 0.0
+    token_noise_d: NonNegative = 0.0
+    token_flip_p: Unit = 0.0
+    heightscan_noise: NonNegative = 0.0
+    flat_goal: Positive = 3.0
+    v_avg_alpha: Annotated[float, Interval(0.0, 1.0, open_lo=True)] = 0.3
+    step_dt: Positive = 1.0
+    token_refresh: Count = 5
     sensor: SensorModel = SensorModel()
     estimator: EstimatorConfig = EstimatorConfig()
 
     def __post_init__(self) -> None:
-        check_counts(self, "[env] ", horizon=1, token_refresh=1, edge_margin=0)
-        check_counts(self, "[env] ", token_noise_h=0, token_noise_d=0, heightscan_noise=0)
-        check_positive(self, "[env] ", "step_dt", "flat_goal")
-        if not -math.inf < self.v_cmd_range[0] <= self.v_cmd_range[1] < math.inf:
-            raise ConfigError(f"[env] need finite v_cmd_min <= v_cmd_max, got {self.v_cmd_range}")
-        if not 0.0 < self.v_avg_alpha <= 1.0:
-            raise ConfigError(f"[env] v_avg_alpha must lie in (0, 1], got {self.v_avg_alpha}")
-        if not 0.0 <= self.token_flip_p <= 1.0:
-            raise ConfigError("token_flip_p must lie in [0, 1]")
+        check_domains(self, "[env] ")
         if self.sensor.window > EXTENT:
-            raise ConfigError(
-                f"sensor window {self.sensor.window} exceeds the {EXTENT} m BEV grid"
-            )
+            raise ConfigError(f"[sensor] sensor window {self.sensor.window} exceeds the {EXTENT} m BEV grid")
 
 
 @dataclass

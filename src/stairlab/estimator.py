@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bev import CH_MEAN, GRID_SIZE, BevGrid, cell_centers, key_value_order
-from .errors import ConfigError
+from .errors import ConfigError, Count, Finite, Ordered, Positive, Unit, check_domains
 from .world import MAX_STEP_DEPTH, MAX_STEP_HEIGHT, StairClass, TerrainToken, wrap_pi
 
 # Coarse-to-fine yaw search: the coarse pass scores every COARSE_STRIDE-th
@@ -57,25 +57,21 @@ SCORE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    yaw_range_deg: tuple[float, float] = (-45.0, 45.0)
-    yaw_pitch_deg: float = 1.0
-    profile_bin: float = 0.05
-    riser_threshold: float = 0.06
-    merge_floor: float = 0.01
-    min_risers_for_stairs: int = 2
-    min_occupancy: float = 0.10
+    yaw_range_deg: Ordered[Finite] = (-45.0, 45.0)
+    yaw_pitch_deg: Positive = 1.0
+    profile_bin: Positive = 0.05
+    riser_threshold: Positive = 0.06
+    merge_floor: Positive = 0.01
+    min_risers_for_stairs: Count = 2
+    min_occupancy: Unit = 0.10
 
     def __post_init__(self) -> None:
-        if self.yaw_pitch_deg <= 0.0:
-            raise ConfigError("yaw_pitch_deg must be positive")
-        if self.riser_threshold <= 0.0:
-            raise ConfigError("riser_threshold must be positive")
-        if not 0.0 < self.merge_floor < self.riser_threshold:
-            raise ConfigError("merge_floor must lie in (0, riser_threshold)")
-        if self.profile_bin <= 0.0:
-            raise ConfigError("profile_bin must be positive")
-        if self.yaw_range_deg[0] > self.yaw_range_deg[1]:
-            raise ConfigError("yaw range is inverted")
+        check_domains(self, "[estimator] ")
+        if not self.merge_floor < self.riser_threshold:
+            raise ConfigError(
+                f"[estimator] merge_floor {self.merge_floor} must be below "
+                f"riser_threshold {self.riser_threshold}"
+            )
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from .bev import GRID_SIZE, N_CHANNELS, BevGrid
-from .errors import TrainingError, check_counts
+from .errors import NonNegative, TrainingError, domain_check
 
 POOL = 4
 POOLED_SIDE = GRID_SIZE // POOL
@@ -184,12 +184,11 @@ def estimator_heads(out: np.ndarray):
 
 @dataclass(frozen=True)
 class TerrainLossWeights:
-    lambda_cls: float = 0.6
-    lambda_h: float = 1.0
-    lambda_d: float = 1.0
+    lambda_cls: NonNegative = 0.6
+    lambda_h: NonNegative = 1.0
+    lambda_d: NonNegative = 1.0
 
-    def __post_init__(self) -> None:
-        check_counts(self, "[loss] ", lambda_cls=0, lambda_h=0, lambda_d=0)
+    __post_init__ = domain_check("[loss] ")
 
 
 def smooth_l1(err: np.ndarray) -> np.ndarray:

@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .env import ACTION_HIGH, ACTION_LOW, OBS_DIM, EnvConfig, EpisodeRecord, StepperEnv, TokenSource
-from .errors import ConfigError, TrainingError, check_counts, check_positive
+from .errors import ConfigError, Count, NonNegative, NonNegativeInt, Positive, TrainingError, Unit
+from .errors import check_domains
 from .nn import (
     AdamState,
     Mlp,
@@ -49,44 +50,40 @@ INIT_STD_FRACTION = 0.15
 
 @dataclass(frozen=True)
 class PpoConfig:
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
-    clip: float = 0.2
-    epochs: int = 4
-    minibatches: int = 4
-    entropy_coef: float = 0.01
-    value_coef: float = 0.5
-    learning_rate: float = 3e-4
-    horizon: int = 256
-    n_envs: int = 16
-    alpha: float = 1.0
+    gamma: Unit = 0.99
+    gae_lambda: Unit = 0.95
+    clip: Positive = 0.2
+    epochs: Count = 4
+    minibatches: Count = 4
+    entropy_coef: NonNegative = 0.01
+    value_coef: NonNegative = 0.5
+    learning_rate: Positive = 3e-4
+    horizon: Count = 256
+    n_envs: Count = 16
+    alpha: NonNegative = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma <= 1.0 or not 0.0 <= self.gae_lambda <= 1.0:
-            raise ConfigError("gamma and gae_lambda must lie in [0, 1]")
-        check_positive(self, "", "clip", "learning_rate")
-        check_counts(self, epochs=1, minibatches=1, horizon=1, n_envs=1, entropy_coef=0, value_coef=0)
+        check_domains(self, "[ppo] ")
         if self.minibatches > self.n_envs * self.horizon:
             raise ConfigError(
-                f"minibatches {self.minibatches} exceeds the {self.n_envs * self.horizon} "
+                f"[ppo] minibatches {self.minibatches} exceeds the {self.n_envs * self.horizon} "
                 "rows of a batch (n_envs x horizon)"
             )
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    stage1_updates: int = 300
-    stage2_updates: int = 100
-    stage3_updates: int = 200
-    stage2_epochs: int = 4
-    estimator_lr: float = 1e-2
+    stage1_updates: NonNegativeInt = 300
+    stage2_updates: NonNegativeInt = 100
+    stage3_updates: NonNegativeInt = 200
+    stage2_epochs: NonNegativeInt = 4
+    estimator_lr: Positive = 1e-2
     loss: TerrainLossWeights = TerrainLossWeights()
 
     def __post_init__(self) -> None:
-        check_counts(self, stage1_updates=0, stage2_updates=0, stage3_updates=0, stage2_epochs=0)
+        check_domains(self, "[train] ")
         if self.stage1_updates + self.stage2_updates + self.stage3_updates == 0:
-            raise ConfigError("at least one stage needs a positive update budget")
-        check_positive(self, "", "estimator_lr")
+            raise ConfigError("[train] at least one stage needs a positive update budget")
 
 
 class WorldSampler:

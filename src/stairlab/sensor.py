@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NonNegative, Positive, Unit, domain_check
 from .world import TerrainProfile
 
 
@@ -62,28 +62,14 @@ class SensorModel:
     above the robot's support point are removed.
     """
 
-    window: float = 3.0
-    sample_pitch: float = 0.02
-    noise_sigma_z: float = 0.01
-    dropout_rate: float = 0.0
+    window: Positive = 3.0
+    sample_pitch: Positive = 0.02
+    noise_sigma_z: NonNegative = 0.01
+    dropout_rate: Unit = 0.0
     occlusion: bool = False
-    sensor_height: float = 1.2
+    sensor_height: Positive = 1.2
 
-    def __post_init__(self) -> None:
-        for name in ("window", "sample_pitch", "noise_sigma_z", "dropout_rate", "sensor_height"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if self.sample_pitch <= 0.0:
-            raise ConfigError("sample_pitch must be positive")
-        if self.noise_sigma_z < 0.0:
-            raise ConfigError("noise_sigma_z must be non-negative")
-        if not 0.0 <= self.dropout_rate <= 1.0:
-            raise ConfigError("dropout_rate must lie in [0, 1]")
-        if self.window <= 0.0:
-            raise ConfigError("window must be positive")
-        if self.sensor_height <= 0.0:
-            raise ConfigError("sensor_height must be positive")
+    __post_init__ = domain_check("[sensor] ")
 
 
 @functools.lru_cache(maxsize=16)

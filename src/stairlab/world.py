@@ -18,13 +18,20 @@ import functools
 import math
 from dataclasses import dataclass, fields
 from enum import IntEnum
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, Count, Finite, Interval, NonNegative, Ordered, check_domains
 
 MAX_STEP_HEIGHT = 0.5
 MAX_STEP_DEPTH = 1.0
+
+# The height and depth of one step, and the ends of a range of either.
+StepHeight = Annotated[float, Interval(0.0, MAX_STEP_HEIGHT, open_lo=True)]
+StepDepth = Annotated[float, Interval(0.0, MAX_STEP_DEPTH, open_lo=True)]
+HeightBound = Annotated[float, Interval(0.0, MAX_STEP_HEIGHT)]
+DepthBound = Annotated[float, Interval(0.0, MAX_STEP_DEPTH)]
 
 TWO_PI = 2.0 * math.pi
 
@@ -265,37 +272,21 @@ class ParameterRanges:
     intervals (lo == hi) pin a parameter.
     """
 
-    h_step: tuple[float, float] = (0.12, 0.16)
-    d_step: tuple[float, float] = (0.25, 0.35)
-    stair_yaw: tuple[float, float] = (-0.3490658503988659, 0.3490658503988659)
-    n_steps: tuple[int, int] = (6, 9)
-    lead_flat: tuple[float, float] = (1.0, 1.0)
-    tail_flat: tuple[float, float] = (0.8, 0.8)
-    origin_x: tuple[float, float] = (0.0, 0.0)
-    origin_y: tuple[float, float] = (0.0, 0.0)
-    class_weights: tuple[float, float, float] = (0.0, 1.0, 0.0)
-    h_choices: tuple[float, ...] | None = None
+    h_step: Ordered[HeightBound] = (0.12, 0.16)
+    d_step: Ordered[DepthBound] = (0.25, 0.35)
+    stair_yaw: Ordered[Finite] = (-0.3490658503988659, 0.3490658503988659)
+    n_steps: Ordered[Count] = (6, 9)
+    lead_flat: Ordered[NonNegative] = (1.0, 1.0)
+    tail_flat: Ordered[NonNegative] = (0.8, 0.8)
+    origin_x: Ordered[Finite] = (0.0, 0.0)
+    origin_y: Ordered[Finite] = (0.0, 0.0)
+    class_weights: tuple[NonNegative, NonNegative, NonNegative] = (0.0, 1.0, 0.0)
+    h_choices: tuple[StepHeight, ...] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("h_step", "d_step", "stair_yaw", "n_steps", "lead_flat", "tail_flat"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ConfigError(f"range {name}: min {lo} exceeds max {hi}")
-        if self.h_step[0] < 0 or self.d_step[0] < 0:
-            raise ConfigError("step ranges must be non-negative")
-        if self.h_step[1] > MAX_STEP_HEIGHT or self.d_step[1] > MAX_STEP_DEPTH:
-            raise ConfigError("step ranges exceed generation caps")
-        if self.n_steps[0] < 1:
-            raise ConfigError("n_steps range must start at >= 1")
-        if self.lead_flat[0] < 0 or self.tail_flat[0] < 0:
-            raise ConfigError("flat lengths must be non-negative")
-        if any(w < 0 for w in self.class_weights) or sum(self.class_weights) <= 0:
-            raise ConfigError("class weights must be non-negative with positive sum")
-        if self.h_choices is not None:
-            if not self.h_choices:
-                raise ConfigError("h_choices must be non-empty when given")
-            if min(self.h_choices) <= 0 or max(self.h_choices) > MAX_STEP_HEIGHT:
-                raise ConfigError("h_choices outside generation caps")
+        check_domains(self, "[world] ")
+        if sum(self.class_weights) <= 0:
+            raise ConfigError("[world] weight_flat, weight_up and weight_down must not all be 0")
 
 
 @functools.cache

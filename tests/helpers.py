@@ -21,6 +21,15 @@ def with_class(ranges: ParameterRanges, stair_class: StairClass) -> ParameterRan
     return replace(ranges, class_weights=tuple(weights))
 
 
+def in_section(section: str, message: str) -> str:
+    """The config error ``message`` for a key of ``section``, like ``"[ppo]"``.
+
+    Every such error begins with the section it names; a table row whose
+    message leaves the section out means the row's own section.
+    """
+    return message if message.startswith("[") else f"{section} {message}"
+
+
 def write_ply(path, cloud: PointCloud) -> None:
     """Write ``cloud`` as ASCII PLY with full-precision float x, y, z, as the readers' input."""
     header = [

@@ -20,7 +20,7 @@ from stairlab.experiments import (
 from stairlab.sensor import SensorModel, scan
 from stairlab.world import StairClass, StairSpec, TerrainProfile
 
-from helpers import write_ply
+from helpers import in_section, write_ply
 
 TINY = """
 [run]
@@ -295,12 +295,12 @@ class TestSensorSettingsRejected:
             ("window", "nan", "window must be finite, got nan"),
             ("window", "inf", "window must be finite, got inf"),
             ("window", "3.5", "sensor window 3.5 exceeds the 3.0 m BEV grid"),
-            ("pitch", "nan", "sample_pitch must be finite, got nan"),
+            ("pitch", "nan", "pitch must be finite, got nan"),
             ("noise_sigma_z", "nan", "noise_sigma_z must be finite, got nan"),
-            ("dropout", "nan", "dropout_rate must be finite, got nan"),
+            ("dropout", "nan", "dropout must be finite, got nan"),
             ("sensor_height", "nan", "sensor_height must be finite, got nan"),
-            ("sensor_height", "-1.0", "sensor_height must be positive"),
-            ("sensor_height", "0.0", "sensor_height must be positive"),
+            ("sensor_height", "-1.0", "sensor_height must be positive, got -1.0"),
+            ("sensor_height", "0.0", "sensor_height must be positive, got 0.0"),
         ],
     )
     def test_one_error_line(self, tmp_path, capsys, monkeypatch, key, value, message):
@@ -313,7 +313,7 @@ class TestSensorSettingsRejected:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.err.splitlines() == [f"error: [sensor] {message}"]
         assert not (tmp_path / "out").exists()
 
 
@@ -479,17 +479,17 @@ class TestUpdateCountsRejected:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.err.splitlines() == [f"error: {in_section(section.strip(), message)}"]
         assert not (tmp_path / "out").exists()
 
 
 class TestExperimentSettingsRejected:
-    """Bad [run], [ablation], [generalize] and [track] settings fail in one line, writing nothing."""
+    """Bad [run], [world], [ablation], [generalize] and [track] settings fail in one line, writing nothing."""
 
     @pytest.mark.parametrize(
         "command, old, new, message",
         [
-            ("ablation", "seeds = 1,2", "seeds =", "[run] seeds must list at least one seed"),
+            ("ablation", "seeds = 1,2", "seeds =", "[run] seeds must list at least one value"),
             (
                 "ablation",
                 "eval_episodes = 4",
@@ -538,6 +538,26 @@ class TestExperimentSettingsRejected:
                 "[track]\nschedule = 60:0.4,0:0.2\n[train]",
                 "[track] schedule times must be >= 0 and strictly increasing: [60, 0]",
             ),
+            # Each of these four used to train, write or fail with a traceback first.
+            (
+                "ablation",
+                "terrain_heights = 0.12",
+                "terrain_heights = -1",
+                "[ablation] terrain_heights must lie in (0, 0.5], got -1.0",
+            ),
+            (
+                "generalize",
+                "eval_heights = 0.12,0.18",
+                "eval_heights = 0.12, nan",
+                "[generalize] eval_heights must be finite, got nan",
+            ),
+            (
+                "gen",
+                "[train]",
+                "[world]\nh_min = nan\n[train]",
+                "[world] need finite h_min <= h_max, got (nan, 0.16)",
+            ),
+            ("gen", "[train]", "[world]\nweight_up = inf\n[train]", "[world] weight_up must be finite, got inf"),
         ],
     )
     def test_one_error_line(self, tmp_path, capsys, monkeypatch, command, old, new, message):

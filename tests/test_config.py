@@ -1,5 +1,6 @@
 import math
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -15,10 +16,12 @@ from stairlab.config import (
     parse_config_text,
 )
 from stairlab.env import ObsMode, TokenSource
-from stairlab.errors import ConfigError
+from stairlab.errors import ConfigError, Interval
 from stairlab.estimator import EstimatorConfig
 from stairlab.nn import TerrainLossWeights
 from stairlab.sensor import SensorModel
+
+from helpers import in_section
 
 # One valid value off the default for every accepted (section, key): the
 # complete key set, pinned.
@@ -329,7 +332,7 @@ def test_split_keys_apply_together():
 def test_update_counts_rejected(text, message):
     with pytest.raises(ConfigError) as exc:
         parse_config_text(text, base_dir=None)
-    assert str(exc.value) == message
+    assert str(exc.value) == in_section(text.partition("\n")[0], message)
 
 
 def test_env_and_ppo_edges_accepted():
@@ -354,7 +357,7 @@ def test_update_count_edges_accepted():
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("[run]\nseeds =\n", "[run] seeds must list at least one seed"),
+        ("[run]\nseeds =\n", "[run] seeds must list at least one value"),
         ("[ablation]\nupdates = -1\n", "[ablation] updates must be non-negative, got -1"),
         ("[ablation]\neval_episodes = 0\n", "[ablation] eval_episodes must be positive, got 0"),
         (
@@ -440,3 +443,121 @@ def test_track_schedule_must_increase(schedule, times):
 def test_track_schedule_increasing_accepted():
     cfg = parse_config_text("[track]\nschedule = 5:0.2,6:0.3,100:0.25\n", base_dir=None)
     assert cfg.track.schedule == ((5, 0.2), (6, 0.3), (100, 0.25))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "[benchmark]\nh_min = 0.3\nh_max = 0.2\n",
+            "[benchmark] need finite h_min <= h_max, got (0.3, 0.2)",
+        ),
+        ("[estimator]\nprofile_bin = inf\n", "[estimator] profile_bin must be finite, got inf"),
+        ("[estimator]\nyaw_pitch_deg = nan\n", "[estimator] yaw_pitch_deg must be finite, got nan"),
+        ("[run]\nseeds = 1,-1\n", "[run] seeds must be non-negative, got -1"),
+        ("[world]\nh_min = 0.3\nh_max = 0.1\n", "[world] need finite h_min <= h_max, got (0.3, 0.1)"),
+        ("[world]\nh_min = -0.1\n", "[world] h_min must lie in [0, 0.5], got -0.1"),
+        ("[world]\nweight_up = -1\n", "[world] weight_up must be non-negative, got -1.0"),
+        (
+            "[world]\nweight_up = 0\n",
+            "[world] weight_flat, weight_up and weight_down must not all be 0",
+        ),
+        ("[world]\nh_choices = 0.12,0.6\n", "[world] h_choices must lie in (0, 0.5], got 0.6"),
+        ("[sensor]\npitch = 0\n", "[sensor] pitch must be positive, got 0.0"),
+        ("[estimator]\nmin_risers = 0\n", "[estimator] min_risers must be positive, got 0"),
+        ("[estimator]\nmin_occupancy = 1.5\n", "[estimator] min_occupancy must lie in [0, 1], got 1.5"),
+        (
+            "[estimator]\nriser_threshold = 0.01\n",
+            "[estimator] merge_floor 0.01 must be below riser_threshold 0.01",
+        ),
+        ("[env]\nw_velocity = -1\n", "[env] w_velocity must be non-negative, got -1.0"),
+        ("[env]\nterminal_bonus = -1\n", "[env] terminal_bonus must be non-negative, got -1.0"),
+        ("[ppo]\ngamma = 1.5\n", "[ppo] gamma must lie in [0, 1], got 1.5"),
+        ("[ppo]\nalpha = -1\n", "[ppo] alpha must be non-negative, got -1.0"),
+        ("[ablation]\nsuccess_threshold = 2\n", "[ablation] success_threshold must lie in [0, 1], got 2.0"),
+        ("[track]\nd_step = 0\n", "[track] d_step must lie in (0, 1], got 0.0"),
+        ("[track]\nschedule = 0:0.2,60:nan\n", "[track] schedule must be finite, got nan"),
+    ],
+)
+def test_messages_name_the_key(text, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(text, base_dir=None)
+    assert str(exc.value) == message
+
+
+def _numeric_keys():
+    """(section, key) of every key whose values are ints or floats, read from _KEYS alone."""
+    numeric = []
+    for section, keys in _KEYS.items():
+        for key, (_, _, convert) in keys.items():
+            try:
+                value = convert("1")
+            except Exception:
+                continue  # enums, schedules
+            items = value if isinstance(value, tuple) else (value,)
+            if all(type(item) in (int, float) for item in items):
+                numeric.append((section, key))
+    return numeric
+
+
+def _annotated_setting(section, key):
+    """The annotated type of what one key sets: a field, or one element of a tuple field."""
+    path, indices, _ = _KEYS[section][key]
+    *owners, name = path.split(".")
+    cls = ExperimentConfig
+    for owner in owners:
+        cls = typing.get_type_hints(cls)[owner]
+    hint = typing.get_type_hints(cls, include_extras=True)[name]
+    if typing.get_type_hints(cls)[name] in (int, float):
+        return hint
+    if typing.get_origin(hint) is typing.Annotated:  # an ordered pair
+        hint = typing.get_args(hint)[0]
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    if len(args) == 1:  # X | None
+        args = typing.get_args(args[0])
+    return args[indices[0]] if indices is not None else args[0]
+
+
+def test_every_numeric_key_declares_its_domain():
+    numeric = _numeric_keys()
+    assert len(numeric) == 93  # all but the enum, bool, path and schedule keys
+    undeclared = []
+    for section, key in numeric:
+        hint = _annotated_setting(section, key)
+        metadata = getattr(hint, "__metadata__", ())
+        if not any(isinstance(mark, Interval) for mark in metadata):
+            undeclared.append(f"[{section}] {key}")
+    assert undeclared == []
+
+
+@pytest.mark.parametrize("section, key", _numeric_keys())
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_value_rejected_naming_the_key(section, key, value):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(f"[{section}]\n{key} = {value}\n", base_dir=None)
+    message = str(exc.value)
+    assert message.startswith(f"[{section}] ") and re.search(rf"\b{key}\b", message)
+    assert "\n" not in message
+
+
+def test_new_domain_edges_accepted():
+    # Both ends of each bound that the declared domains added, where the end is inside.
+    cfg = parse_config_text(
+        "[estimator]\nmin_occupancy = 0\nmin_risers = 1\n"
+        "[env]\nterminal_bonus = 0\nw_velocity = 0\nw_heading = 0\ntoken_flip_p = 1\n"
+        "[ppo]\ngamma = 0\ngae_lambda = 1\nalpha = 0\n"
+        "[world]\nh_min = 0\nh_max = 0.5\nd_max = 1.0\nweight_up = 0\nweight_flat = 1\n"
+        "h_choices = 0.5\n"
+        "[run]\nseeds = 0\n"
+        "[ablation]\nterrain_heights = 0.5\nsuccess_threshold = 1\n"
+        "[track]\nh_step = 0.5\nd_step = 1.0\n",
+        base_dir=None,
+    )
+    assert cfg.env.estimator.min_occupancy == 0.0
+    assert cfg.env.reward.terminal_bonus == 0.0
+    assert (cfg.ppo.gamma, cfg.ppo.gae_lambda, cfg.ppo.alpha) == (0.0, 1.0, 0.0)
+    assert cfg.world.h_step == (0.0, 0.5) and cfg.world.class_weights == (1.0, 0.0, 0.0)
+    assert (cfg.run.seeds, cfg.ablation.terrain_heights) == ((0,), (0.5,))
+    assert (cfg.track.h_step, cfg.track.d_step) == (0.5, 1.0)
+    cfg = parse_config_text("[estimator]\nmin_occupancy = 1\n[ppo]\ngamma = 1\n", base_dir=None)
+    assert (cfg.env.estimator.min_occupancy, cfg.ppo.gamma) == (1.0, 1.0)
